@@ -81,6 +81,62 @@ void BM_CacheMissAndEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheMissAndEvict);
 
+void BM_CacheCappedEvict(benchmark::State& state) {
+  // Two processes share a small cache, each held to a quarter of it: once
+  // a process reaches its allowance, every block it inserts evicts its own
+  // oldest clean block (the Section 6.2 per-process cap).
+  sim::CacheParams params = big_cache();
+  params.capacity = Bytes{8} * kMB;
+  params.per_process_cap = Bytes{2} * kMB;
+  params.read_ahead = false;
+  sim::CacheMetrics metrics;
+  sim::BufferCache cache(params, metrics);
+  const Bytes request = 64 * kKiB;
+  Bytes offsets[2] = {0, 0};
+  std::int64_t ops = 0;
+  std::uint64_t op = 1;
+  for (auto _ : state) {
+    const auto pid = static_cast<std::uint32_t>(1 + (ops & 1));
+    Bytes& off = offsets[pid - 1];
+    const auto plan = cache.plan_read(pid, pid, off, request, op);
+    benchmark::DoNotOptimize(plan.fetch_runs.data());
+    op += plan.fetch_runs.size();
+    for (const auto& run : plan.fetch_runs) cache.fetch_complete(run);
+    off += request;  // each process streams its own file
+    ++ops;
+  }
+  state.SetItemsProcessed(ops);
+  state.SetBytesProcessed(ops * request);
+}
+BENCHMARK(BM_CacheCappedEvict);
+
+void BM_CacheSmallRandomReads(benchmark::State& state) {
+  // One-block reads at random blocks of a file twice the cache's size: every
+  // extent is a single block, the worst case for extent bookkeeping.
+  sim::CacheParams params = big_cache();
+  params.capacity = Bytes{16} * kMB;
+  params.read_ahead = false;
+  sim::CacheMetrics metrics;
+  sim::BufferCache cache(params, metrics);
+  const Bytes bs = params.block_size;
+  const auto file_blocks = static_cast<std::uint64_t>(2 * params.capacity / bs);
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  std::int64_t ops = 0;
+  std::uint64_t op = 1;
+  for (auto _ : state) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    const auto block = static_cast<Bytes>((rng >> 33) % file_blocks);
+    const auto plan = cache.plan_read(1, 1, block * bs, bs, op);
+    benchmark::DoNotOptimize(plan.full_hit);
+    op += plan.fetch_runs.size();
+    for (const auto& run : plan.fetch_runs) cache.fetch_complete(run);
+    ++ops;
+  }
+  state.SetItemsProcessed(ops);
+  state.SetBytesProcessed(ops * bs);
+}
+BENCHMARK(BM_CacheSmallRandomReads);
+
 void BM_FlushBatchCollection(benchmark::State& state) {
   sim::CacheMetrics metrics;
   sim::BufferCache cache(big_cache(), metrics);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -12,6 +14,23 @@ std::int64_t first_block_of(Bytes offset, Bytes block_size) { return offset / bl
 
 std::int64_t end_block_of(Bytes offset, Bytes length, Bytes block_size) {
   return (offset + length + block_size - 1) / block_size;
+}
+
+/// Appends blocks [first, first + n) of `file` to `runs` exactly as a
+/// block-at-a-time walk would: a block extends the last run when it is that
+/// run's next block and the run is shorter than `max_run` (<= 0: unlimited).
+void append_blocks(std::vector<BlockRun>& runs, std::uint32_t file, std::int64_t first,
+                   std::int64_t n, std::int64_t max_run) {
+  while (n > 0) {
+    const bool extends = !runs.empty() && runs.back().file == file &&
+                         runs.back().first_block + runs.back().count == first &&
+                         (max_run <= 0 || runs.back().count < max_run);
+    if (!extends) runs.push_back({file, first, 0});
+    const std::int64_t add = max_run > 0 ? std::min(n, max_run - runs.back().count) : n;
+    runs.back().count += add;
+    first += add;
+    n -= add;
+  }
 }
 
 }  // namespace
@@ -28,224 +47,379 @@ BufferCache::BufferCache(const CacheParams& params, CacheMetrics& metrics)
   if (params_.per_process_cap > 0 && cap_blocks_per_process_ == 0) {
     throw ConfigError("per-process cap smaller than one block");
   }
-  const auto prealloc =
-      static_cast<std::size_t>(std::min<std::int64_t>(capacity_blocks_, 1 << 16));
-  pool_.reserve(prealloc);
-  index_.reserve(prealloc);
+}
+
+bool BufferCache::mergeable(const Extent& front, const Extent& back) {
+  return front.end() == back.key && file_of(front.key) == file_of(back.key) &&
+         front.state == back.state && front.owner == back.owner && front.op_id == back.op_id &&
+         front.dirty_since == back.dirty_since && front.from_readahead == back.from_readahead &&
+         front.redirtied == back.redirtied;
 }
 
 std::int64_t BufferCache::owned_blocks(std::uint32_t pid) const {
-  const auto it = owned_.find(pid);
-  return it == owned_.end() ? 0 : it->second;
+  const auto it = owner_of_pid_.find(pid);
+  return it == owner_of_pid_.end() ? 0 : owners_[it->second].owned;
 }
 
-std::uint32_t BufferCache::find_slot(std::uint64_t key) const {
-  const std::uint32_t* slot = index_.find(key);
-  return slot != nullptr ? *slot : kNil;
+std::uint32_t BufferCache::owner_index(std::uint32_t pid) {
+  const auto [it, added] =
+      owner_of_pid_.try_emplace(pid, static_cast<std::uint32_t>(owners_.size()));
+  if (added) owners_.push_back(Owner{.pid = pid});
+  return it->second;
 }
 
-void BufferCache::lru_push_back(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  block.lru_prev = lru_tail_;
-  block.lru_next = kNil;
+std::uint32_t BufferCache::segment(std::uint64_t key, std::uint64_t end,
+                                   std::uint64_t& seg_end) const {
+  const auto next = index_.upper_bound(key);
+  if (next != index_.begin()) {
+    const std::uint32_t slot = std::prev(next)->second;
+    if (key < pool_[slot].end()) {
+      seg_end = std::min(pool_[slot].end(), end);
+      return slot;
+    }
+  }
+  seg_end = next == index_.end() ? end : std::min(next->first, end);
+  return kNil;
+}
+
+std::int64_t BufferCache::count_missing(std::uint64_t first, std::uint64_t end) const {
+  std::int64_t missing = 0;
+  for (std::uint64_t k = first; k < end;) {
+    std::uint64_t seg_end = 0;
+    if (segment(k, end, seg_end) == kNil) missing += static_cast<std::int64_t>(seg_end - k);
+    k = seg_end;
+  }
+  return missing;
+}
+
+std::uint32_t BufferCache::alloc_slot() {
+  if (free_head_ == kNil) {
+    pool_.emplace_back();
+    return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+  const std::uint32_t slot = free_head_;  // callers overwrite the whole slot
+  free_head_ = pool_[slot].next;
+  return slot;
+}
+
+void BufferCache::erase_extent(std::uint32_t slot) {
+  index_.erase(pool_[slot].key);
+  pool_[slot].next = free_head_;  // free list threads through next
+  free_head_ = slot;
+}
+
+void BufferCache::insert_extent(const Extent& extent) {
+  assert(extent.state != State::kClean && extent.count > 0);
+  const std::uint32_t slot = alloc_slot();
+  pool_[slot] = extent;
+  index_.emplace(extent.key, slot);
+  if (extent.state == State::kDirty) dirty_link(slot);
+}
+
+std::uint32_t BufferCache::split(std::uint32_t slot, std::uint64_t at) {
+  const std::uint32_t back_slot = alloc_slot();
+  Extent& front = pool_[slot];
+  Extent& back = pool_[back_slot];
+  assert(front.key < at && at < front.end());
+  back = front;
+  back.key = at;
+  back.count = static_cast<std::int64_t>(front.end() - at);
+  front.count = static_cast<std::int64_t>(at - front.key);
+  index_.emplace(at, back_slot);
+  if (front.state == State::kClean || front.state == State::kDirty) {
+    back.prev = slot;
+    if (front.next != kNil) {
+      pool_[front.next].prev = back_slot;
+    } else if (front.state == State::kClean) {
+      lru_tail_ = back_slot;
+    } else {
+      dirty_tail_ = back_slot;
+    }
+    front.next = back_slot;
+  }
+  if (front.state == State::kClean) {
+    back.owner_prev = slot;
+    if (front.owner_next != kNil) {
+      pool_[front.owner_next].owner_prev = back_slot;
+    } else {
+      owners_[front.owner].tail = back_slot;
+    }
+    front.owner_next = back_slot;
+  }
+  return back_slot;
+}
+
+std::uint32_t BufferCache::isolate(std::uint32_t slot, std::uint64_t first, std::uint64_t end) {
+  if (end < pool_[slot].end()) split(slot, end);
+  return first > pool_[slot].key ? split(slot, first) : slot;
+}
+
+void BufferCache::clean_push_back(std::uint32_t slot) {
+  Extent& extent = pool_[slot];
+  Owner& owner = owners_[extent.owner];
+  clean_count_ += extent.count;
+  owner.clean += extent.count;
+  if (lru_tail_ != kNil && mergeable(pool_[lru_tail_], extent)) {
+    // The MRU extent is also its owner's newest, so both lists stay intact.
+    pool_[lru_tail_].count += extent.count;
+    erase_extent(slot);
+    return;
+  }
+  extent.prev = lru_tail_;
+  extent.next = kNil;
   if (lru_tail_ != kNil) {
-    pool_[lru_tail_].lru_next = slot;
+    pool_[lru_tail_].next = slot;
   } else {
     lru_head_ = slot;
   }
   lru_tail_ = slot;
-  ++clean_count_;
+  extent.owner_prev = owner.tail;
+  extent.owner_next = kNil;
+  if (owner.tail != kNil) {
+    pool_[owner.tail].owner_next = slot;
+  } else {
+    owner.head = slot;
+  }
+  owner.tail = slot;
 }
 
-void BufferCache::lru_unlink(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  if (block.lru_prev != kNil) {
-    pool_[block.lru_prev].lru_next = block.lru_next;
+void BufferCache::clean_unlink(std::uint32_t slot) {
+  Extent& extent = pool_[slot];
+  Owner& owner = owners_[extent.owner];
+  if (extent.prev != kNil) {
+    pool_[extent.prev].next = extent.next;
   } else {
-    lru_head_ = block.lru_next;
+    lru_head_ = extent.next;
   }
-  if (block.lru_next != kNil) {
-    pool_[block.lru_next].lru_prev = block.lru_prev;
+  if (extent.next != kNil) {
+    pool_[extent.next].prev = extent.prev;
   } else {
-    lru_tail_ = block.lru_prev;
+    lru_tail_ = extent.prev;
   }
-  block.lru_prev = kNil;
-  block.lru_next = kNil;
-  --clean_count_;
+  if (extent.owner_prev != kNil) {
+    pool_[extent.owner_prev].owner_next = extent.owner_next;
+  } else {
+    owner.head = extent.owner_next;
+  }
+  if (extent.owner_next != kNil) {
+    pool_[extent.owner_next].owner_prev = extent.owner_prev;
+  } else {
+    owner.tail = extent.owner_prev;
+  }
+  extent.prev = kNil;
+  extent.next = kNil;
+  extent.owner_prev = kNil;
+  extent.owner_next = kNil;
+  clean_count_ -= extent.count;
+  owner.clean -= extent.count;
 }
 
 void BufferCache::dirty_link(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  const std::uint64_t key = block.key;
-  // Find the dirty block to insert after (kNil = new head). Keys are unique
-  // (a block links here only on its transition into Dirty), so strict
-  // comparisons suffice.
+  const std::uint64_t key = pool_[slot].key;
+  // Find the dirty extent to insert after (kNil = new head). Extents do not
+  // overlap, so their first keys are unique and strict comparisons suffice.
   std::uint32_t after;
   if (dirty_tail_ == kNil || key > pool_[dirty_tail_].key) {
     after = dirty_tail_;  // appending writes: O(1)
   } else if (key < pool_[dirty_head_].key) {
     after = kNil;
-  } else if (dirty_hint_ != kNil) {
+  } else {
     // Walk from the previous insertion point — neighbors of the last write
     // (the locality case) are a step or two away.
-    after = dirty_hint_;
+    after = dirty_hint_ != kNil ? dirty_hint_ : dirty_tail_;
     if (pool_[after].key < key) {
-      while (pool_[after].lru_next != kNil && pool_[pool_[after].lru_next].key < key) {
-        after = pool_[after].lru_next;
+      while (pool_[after].next != kNil && pool_[pool_[after].next].key < key) {
+        after = pool_[after].next;
       }
     } else {
-      while (after != kNil && pool_[after].key > key) after = pool_[after].lru_prev;
+      while (after != kNil && pool_[after].key > key) after = pool_[after].prev;
     }
-  } else {
-    after = dirty_tail_;
-    while (after != kNil && pool_[after].key > key) after = pool_[after].lru_prev;
   }
 
-  block.lru_prev = after;
+  Extent& extent = pool_[slot];
+  extent.prev = after;
   if (after == kNil) {
-    block.lru_next = dirty_head_;
+    extent.next = dirty_head_;
     dirty_head_ = slot;
   } else {
-    block.lru_next = pool_[after].lru_next;
-    pool_[after].lru_next = slot;
+    extent.next = pool_[after].next;
+    pool_[after].next = slot;
   }
-  if (block.lru_next != kNil) {
-    pool_[block.lru_next].lru_prev = slot;
+  if (extent.next != kNil) {
+    pool_[extent.next].prev = slot;
   } else {
     dirty_tail_ = slot;
   }
   dirty_hint_ = slot;
-  ++dirty_count_;
+  dirty_count_ += extent.count;
+  dirty_merge(slot);
 }
 
 void BufferCache::dirty_unlink(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  if (dirty_hint_ == slot) dirty_hint_ = block.lru_prev;
-  if (block.lru_prev != kNil) {
-    pool_[block.lru_prev].lru_next = block.lru_next;
+  Extent& extent = pool_[slot];
+  if (dirty_hint_ == slot) dirty_hint_ = extent.prev;
+  if (extent.prev != kNil) {
+    pool_[extent.prev].next = extent.next;
   } else {
-    dirty_head_ = block.lru_next;
+    dirty_head_ = extent.next;
   }
-  if (block.lru_next != kNil) {
-    pool_[block.lru_next].lru_prev = block.lru_prev;
+  if (extent.next != kNil) {
+    pool_[extent.next].prev = extent.prev;
   } else {
-    dirty_tail_ = block.lru_prev;
+    dirty_tail_ = extent.prev;
   }
-  block.lru_prev = kNil;
-  block.lru_next = kNil;
-  --dirty_count_;
+  extent.prev = kNil;
+  extent.next = kNil;
+  dirty_count_ -= extent.count;
 }
 
-void BufferCache::free_slot(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  block.live = false;
-  block.lru_prev = kNil;
-  block.lru_next = free_head_;  // free list threads through lru_next
-  free_head_ = slot;
+void BufferCache::dirty_merge(std::uint32_t slot) {
+  // Folds `back` (the list and key successor of `front`) into `front`.
+  auto fold = [this](std::uint32_t front, std::uint32_t back) {
+    const std::uint32_t after = pool_[back].next;
+    pool_[front].count += pool_[back].count;
+    pool_[front].next = after;
+    if (after != kNil) {
+      pool_[after].prev = front;
+    } else {
+      dirty_tail_ = front;
+    }
+    if (dirty_hint_ == back) dirty_hint_ = front;
+    erase_extent(back);
+  };
+  const std::uint32_t next = pool_[slot].next;
+  if (next != kNil && mergeable(pool_[slot], pool_[next])) fold(slot, next);
+  const std::uint32_t prev = pool_[slot].prev;
+  if (prev != kNil && mergeable(pool_[prev], pool_[slot])) fold(prev, slot);
 }
 
 bool BufferCache::can_allocate(std::int64_t need, std::uint32_t pid) const {
   if (need <= 0) return true;
   if (need > free_blocks() + clean_count_) return false;
   if (cap_blocks_per_process_ > 0) {
-    const std::int64_t own = owned_blocks(pid);
+    const auto it = owner_of_pid_.find(pid);
+    const Owner* owner = it == owner_of_pid_.end() ? nullptr : &owners_[it->second];
+    const std::int64_t own = owner != nullptr ? owner->owned : 0;
     if (own + need > cap_blocks_per_process_) {
       // Over the cap: the process must be able to evict enough of its own
       // clean blocks to stay within its allowance.
-      std::int64_t own_clean = 0;
-      for (std::uint32_t s = lru_head_; s != kNil; s = pool_[s].lru_next) {
-        if (pool_[s].owner == pid) ++own_clean;
-      }
+      const std::int64_t own_clean = owner != nullptr ? owner->clean : 0;
       if (own + need - own_clean > cap_blocks_per_process_) return false;
     }
   }
   return true;
 }
 
-void BufferCache::evict_one(std::uint32_t prefer_owner) {
-  assert(lru_head_ != kNil);
-  std::uint32_t victim = lru_head_;
-  if (prefer_owner != 0) {
-    for (std::uint32_t s = lru_head_; s != kNil; s = pool_[s].lru_next) {
-      if (pool_[s].owner == prefer_owner) {
-        victim = s;
-        break;
+void BufferCache::evict_front(std::uint32_t slot, std::int64_t n) {
+  Extent& extent = pool_[slot];
+  Owner& owner = owners_[extent.owner];
+  owner.owned -= n;
+  live_count_ -= n;
+  metrics_->evictions += n;
+  if (n == extent.count) {
+    clean_unlink(slot);
+    erase_extent(slot);
+    return;
+  }
+  extent.count -= n;
+  clean_count_ -= n;
+  owner.clean -= n;
+  auto node = index_.extract(extent.key);
+  extent.key += static_cast<std::uint64_t>(n);
+  node.key() = extent.key;
+  index_.insert(std::move(node));
+}
+
+void BufferCache::reserve(std::int64_t n, std::uint32_t owner) {
+  // The per-block rule for each inserted block: with
+  //   prefer = cap > 0 && owned(pid) + 1 > cap   (never for pid 0),
+  // evict when free == 0 || prefer; the victim is pid's oldest clean block
+  // when prefer holds and pid has one, else the LRU block. Each loop turn
+  // applies the rule to as many consecutive blocks as share one victim
+  // extent and one branch of the rule.
+  Owner& me = owners_[owner];
+  const bool capped = cap_blocks_per_process_ > 0 && me.pid != 0;
+  while (n > 0) {
+    std::int64_t batch = n;
+    // Once prefer holds every insert evicts, so owned(pid) never falls and
+    // prefer holds for the rest of the request.
+    const bool prefer = capped && me.owned + 1 > cap_blocks_per_process_;
+    if (prefer || free_blocks() == 0) {
+      const std::uint32_t victim = prefer && me.head != kNil ? me.head : lru_head_;
+      if (victim == kNil) throw Error("buffer cache: no clean block to evict");
+      // Taking another owner's block grows owned(pid) up to where prefer
+      // starts to hold.
+      if (!prefer && capped && pool_[victim].owner != owner) {
+        batch = std::min(batch, cap_blocks_per_process_ - me.owned);
       }
+      batch = std::min(batch, pool_[victim].count);
+      evict_front(victim, batch);
+    } else {
+      batch = std::min(batch, free_blocks());
+      if (capped) batch = std::min(batch, cap_blocks_per_process_ - me.owned);
     }
+    me.owned += batch;
+    live_count_ += batch;
+    n -= batch;
   }
-  Block& block = pool_[victim];
-  assert(block.live && block.state == State::kClean);
-  --owned_[block.owner];
-  lru_unlink(victim);
-  index_.erase(block.key);
-  free_slot(victim);
-  --live_count_;
-  ++metrics_->evictions;
 }
 
-std::uint32_t BufferCache::insert_block(std::uint64_t key, State state, std::uint32_t pid,
-                                        std::uint64_t op_id, bool from_readahead) {
-  std::uint32_t prefer = 0;
-  if (cap_blocks_per_process_ > 0 && owned_blocks(pid) + 1 > cap_blocks_per_process_) {
-    prefer = pid;  // stay within the allowance by evicting our own blocks
-  }
-  if (free_blocks() == 0 || prefer != 0) evict_one(prefer);
-
-  std::uint32_t slot;
-  if (free_head_ != kNil) {
-    slot = free_head_;
-    free_head_ = pool_[slot].lru_next;
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
-  Block& block = pool_[slot];
-  block = Block{};
-  block.key = key;
-  block.live = true;
-  block.state = state;
-  block.owner = pid;
-  block.op_id = op_id;
-  block.from_readahead = from_readahead;
-  if (state == State::kClean) {
-    lru_push_back(slot);
-  } else if (state == State::kDirty) {
-    dirty_link(slot);
-  }
-  index_.emplace(key) = slot;
-  ++live_count_;
-  ++owned_[pid];
-  return slot;
+void BufferCache::touch(std::uint32_t slot, std::uint64_t first, std::uint64_t end) {
+  // A suffix of the MRU extent is already in the order a touch leaves it.
+  if (slot == lru_tail_ && end == pool_[slot].end()) return;
+  slot = isolate(slot, first, end);
+  clean_unlink(slot);
+  clean_push_back(slot);
 }
 
-void BufferCache::touch_clean(Block& block) {
-  assert(block.state == State::kClean);
-  const std::uint32_t slot = slot_of(block);
-  if (lru_tail_ == slot) return;  // already MRU
-  lru_unlink(slot);
-  lru_push_back(slot);
-}
-
-void BufferCache::make_dirty(Block& block, std::uint32_t pid) {
-  switch (block.state) {
+void BufferCache::make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                             std::uint32_t owner, Ticks now) {
+  const State state = pool_[slot].state;
+  if (state == State::kDirty && pool_[slot].owner == owner && pool_[slot].dirty_since == now) {
+    return;
+  }
+  slot = isolate(slot, first, end);
+  if (state == State::kClean) clean_unlink(slot);
+  Extent& extent = pool_[slot];
+  // Re-owned without moving owned counts, as the per-block cache did.
+  extent.owner = owner;
+  extent.from_readahead = false;
+  extent.dirty_since = now;
+  switch (state) {
     case State::kClean:
-      lru_unlink(slot_of(block));
-      block.state = State::kDirty;
-      dirty_link(slot_of(block));
+    case State::kFetching:
+      // A Fetching block overwritten before its fetch landed: the fetched
+      // data is stale.
+      extent.state = State::kDirty;
+      extent.op_id = 0;
+      dirty_link(slot);
       break;
     case State::kDirty:
-      break;
-    case State::kFetching:
-      // Overwritten before the fetch landed; the fetched data is stale.
-      block.state = State::kDirty;
-      dirty_link(slot_of(block));
+      dirty_merge(slot);
       break;
     case State::kFlushing:
-      block.redirtied = true;
+      extent.redirtied = true;
       break;
   }
-  block.owner = pid;
-  block.from_readahead = false;
+}
+
+void BufferCache::write_through(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                                std::uint32_t owner) {
+  const State state = pool_[slot].state;
+  if (state == State::kFlushing && pool_[slot].owner == owner && !pool_[slot].from_readahead) {
+    return;
+  }
+  slot = isolate(slot, first, end);
+  if (state == State::kClean) clean_unlink(slot);
+  if (state == State::kDirty) dirty_unlink(slot);
+  Extent& extent = pool_[slot];
+  extent.owner = owner;
+  extent.from_readahead = false;
+  if (state != State::kFlushing) {
+    extent.state = State::kFlushing;
+    extent.op_id = 0;
+    extent.dirty_since = Ticks::zero();
+  }
 }
 
 BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t file, Bytes offset,
@@ -263,48 +437,60 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
     return plan;
   }
 
-  // Pass 1 (no mutation): classify blocks.
-  std::int64_t missing = 0;
-  for (std::int64_t b = b0; b < b1; ++b) {
-    if (!index_.contains(key_of(file, b))) ++missing;
-  }
+  // Pass 1 (no mutation): count missing blocks.
+  const std::uint64_t first = key_of(file, b0);
+  const std::uint64_t end = key_of(file, b1);
+  const std::int64_t missing = count_missing(first, end);
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
     --metrics_->read_requests;  // the retry will count it
     return plan;
   }
 
-  // Pass 2: touch hits, join in-flight fetches, insert missing as Fetching.
+  // Pass 2, segment by segment in ascending order: touch hits, join
+  // in-flight fetches, insert missing blocks as Fetching.
+  const std::uint32_t owner = owner_index(pid);
   std::int64_t present = 0;
-  for (std::int64_t b = b0; b < b1; ++b) {
-    const std::uint64_t key = key_of(file, b);
-    const std::uint32_t slot = find_slot(key);
+  for (std::uint64_t k = first; k < end;) {
+    std::uint64_t seg_end = 0;
+    std::uint32_t slot = segment(k, end, seg_end);
+    const auto n = static_cast<std::int64_t>(seg_end - k);
     if (slot == kNil) {
+      const std::int64_t block = block_of(k);
       const bool extends_run = !plan.fetch_runs.empty() &&
-                               plan.fetch_runs.back().file == file &&
-                               plan.fetch_runs.back().first_block + plan.fetch_runs.back().count == b;
-      if (!extends_run) plan.fetch_runs.push_back({file, b, 0});
-      insert_block(key, State::kFetching, pid,
-                   first_op_id + plan.fetch_runs.size() - 1, /*from_readahead=*/false);
-      ++plan.fetch_runs.back().count;
-      continue;
-    }
-    ++present;
-    Block& block = pool_[slot];
-    if (block.from_readahead) {
-      ++metrics_->readahead_used_blocks;
-      block.from_readahead = false;
-      plan.readahead_hit = true;
-    }
-    if (block.state == State::kClean) {
-      touch_clean(block);
-    } else if (block.state == State::kFetching) {
-      if (std::find(plan.join_ops.begin(), plan.join_ops.end(), block.op_id) ==
-          plan.join_ops.end()) {
-        plan.join_ops.push_back(block.op_id);
+                               plan.fetch_runs.back().first_block + plan.fetch_runs.back().count ==
+                                   block;
+      if (!extends_run) plan.fetch_runs.push_back({file, block, 0});
+      reserve(n, owner);
+      Extent fetching;
+      fetching.key = k;
+      fetching.count = n;
+      fetching.state = State::kFetching;
+      fetching.owner = owner;
+      fetching.op_id = first_op_id + plan.fetch_runs.size() - 1;
+      insert_extent(fetching);
+      plan.fetch_runs.back().count += n;
+    } else {
+      present += n;
+      if (pool_[slot].from_readahead) {
+        metrics_->readahead_used_blocks += n;
+        plan.readahead_hit = true;
+        slot = isolate(slot, k, seg_end);
+        pool_[slot].from_readahead = false;
       }
+      const Extent& hit = pool_[slot];
+      if (hit.state == State::kClean) {
+        touch(slot, k, seg_end);
+      } else if (hit.state == State::kFetching &&
+                 std::find(plan.join_ops.begin(), plan.join_ops.end(), hit.op_id) ==
+                     plan.join_ops.end()) {
+        plan.join_ops.push_back(hit.op_id);
+      }
+      // Dirty/Flushing blocks hold valid data: plain hits.
     }
-    // Dirty/Flushing blocks hold valid data: plain hits.
+    // Inserting may have evicted blocks further on in this request, so the
+    // next segment is looked up afresh.
+    k = seg_end;
   }
 
   plan.full_hit = plan.fetch_runs.empty() && plan.join_ops.empty();
@@ -331,8 +517,9 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
 }
 
 BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t file,
-                                               Bytes offset, Bytes length, std::uint64_t op_id,
-                                               bool write_behind, Ticks now) {
+                                               Bytes offset, Bytes length,
+                                               std::uint64_t /*op_id*/, bool write_behind,
+                                               Ticks now) {
   WritePlan plan;
   const Bytes bs = params_.block_size;
   const std::int64_t b0 = first_block_of(offset, bs);
@@ -345,66 +532,42 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
     return plan;
   }
 
-  std::int64_t missing = 0;
-  for (std::int64_t b = b0; b < b1; ++b) {
-    if (!index_.contains(key_of(file, b))) ++missing;
-  }
+  const std::uint64_t first = key_of(file, b0);
+  const std::uint64_t end = key_of(file, b1);
+  const std::int64_t missing = count_missing(first, end);
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
     --metrics_->write_requests;
     return plan;
   }
 
-  if (write_behind) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const std::uint64_t key = key_of(file, b);
-      const std::uint32_t slot = find_slot(key);
-      if (slot == kNil) {
-        const std::uint32_t fresh =
-            insert_block(key, State::kDirty, pid, op_id, /*from_readahead=*/false);
-        pool_[fresh].dirty_since = now;
-      } else {
-        Block& block = pool_[slot];
-        make_dirty(block, pid);
-        block.dirty_since = now;
-      }
+  // Under write-behind every block ends Dirty (or redirtied while Flushing);
+  // under write-through every block goes to disk now.
+  const std::uint32_t owner = owner_index(pid);
+  for (std::uint64_t k = first; k < end;) {
+    std::uint64_t seg_end = 0;
+    const std::uint32_t slot = segment(k, end, seg_end);
+    if (slot == kNil) {
+      reserve(static_cast<std::int64_t>(seg_end - k), owner);
+      Extent fresh;
+      fresh.key = k;
+      fresh.count = static_cast<std::int64_t>(seg_end - k);
+      fresh.owner = owner;
+      fresh.state = write_behind ? State::kDirty : State::kFlushing;
+      if (write_behind) fresh.dirty_since = now;
+      insert_extent(fresh);
+    } else if (write_behind) {
+      make_dirty(slot, k, seg_end, owner, now);
+    } else {
+      write_through(slot, k, seg_end, owner);
     }
+    k = seg_end;
+  }
+  if (write_behind) {
     plan.absorbed = true;
     ++metrics_->write_absorbed;
-  } else {
-    // Write-through: every block goes to disk now.
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const std::uint64_t key = key_of(file, b);
-      const std::uint32_t slot = find_slot(key);
-      if (slot == kNil) {
-        insert_block(key, State::kFlushing, pid, op_id, /*from_readahead=*/false);
-      } else {
-        Block& block = pool_[slot];
-        switch (block.state) {
-          case State::kClean:
-            lru_unlink(slot);
-            block.state = State::kFlushing;
-            break;
-          case State::kDirty:
-            dirty_unlink(slot);
-            block.state = State::kFlushing;
-            break;
-          case State::kFetching:
-            block.state = State::kFlushing;
-            break;
-          case State::kFlushing:
-            break;
-        }
-        block.owner = pid;
-        block.from_readahead = false;
-      }
-      if (!plan.writethrough_runs.empty() && plan.writethrough_runs.back().file == file &&
-          plan.writethrough_runs.back().first_block + plan.writethrough_runs.back().count == b) {
-        ++plan.writethrough_runs.back().count;
-      } else {
-        plan.writethrough_runs.push_back({file, b, 1});
-      }
-    }
+  } else if (span > 0) {
+    plan.writethrough_runs.push_back({file, b0, span});
   }
 
   // Writes also advance the sequential detector (appending writes should not
@@ -422,47 +585,66 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
                                                          std::uint64_t op_id) {
   if (candidate.count <= 0) return std::nullopt;
   // Only prefetch when the whole candidate is absent (the frontier case).
-  for (std::int64_t i = 0; i < candidate.count; ++i) {
-    if (index_.contains(key_of(candidate.file, candidate.first_block + i))) {
-      return std::nullopt;
-    }
-  }
+  const std::uint64_t first = key_of(candidate.file, candidate.first_block);
+  const std::uint64_t end = first + static_cast<std::uint64_t>(candidate.count);
+  std::uint64_t seg_end = 0;
+  if (segment(first, end, seg_end) != kNil || seg_end != end) return std::nullopt;
   if (!can_allocate(candidate.count, pid)) return std::nullopt;
-  for (std::int64_t i = 0; i < candidate.count; ++i) {
-    insert_block(key_of(candidate.file, candidate.first_block + i), State::kFetching, pid, op_id,
-                 /*from_readahead=*/true);
-  }
+  const std::uint32_t owner = owner_index(pid);
+  reserve(candidate.count, owner);
+  Extent prefetch;
+  prefetch.key = first;
+  prefetch.count = candidate.count;
+  prefetch.state = State::kFetching;
+  prefetch.owner = owner;
+  prefetch.op_id = op_id;
+  prefetch.from_readahead = true;
+  insert_extent(prefetch);
   ++metrics_->readahead_issued;
   metrics_->readahead_fetched_blocks += candidate.count;
   return candidate;
 }
 
+// Completions ignore op ids: every Fetching (Flushing) block in the run
+// completes, whichever operation it was tagged with.
 void BufferCache::fetch_complete(const BlockRun& run) {
-  for (std::int64_t i = 0; i < run.count; ++i) {
-    const std::uint32_t slot = find_slot(key_of(run.file, run.first_block + i));
-    if (slot == kNil) continue;
-    Block& block = pool_[slot];
-    if (block.state != State::kFetching) continue;  // overwritten meanwhile
-    block.state = State::kClean;
-    lru_push_back(slot);
+  const std::uint64_t first = key_of(run.file, run.first_block);
+  const std::uint64_t end =
+      first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
+  for (std::uint64_t k = first; k < end;) {
+    std::uint64_t seg_end = 0;
+    std::uint32_t slot = segment(k, end, seg_end);
+    if (slot != kNil && pool_[slot].state == State::kFetching) {  // else overwritten meanwhile
+      slot = isolate(slot, k, seg_end);
+      pool_[slot].state = State::kClean;
+      pool_[slot].op_id = 0;
+      clean_push_back(slot);
+    }
+    k = seg_end;
   }
 }
 
 void BufferCache::flush_complete(const BlockRun& run) {
-  for (std::int64_t i = 0; i < run.count; ++i) {
-    const std::uint64_t key = key_of(run.file, run.first_block + i);
-    const std::uint32_t slot = find_slot(key);
-    if (slot == kNil) continue;
-    Block& block = pool_[slot];
-    if (block.state != State::kFlushing) continue;
-    if (block.redirtied) {
-      block.redirtied = false;
-      block.state = State::kDirty;
-      dirty_link(slot);
-    } else {
-      block.state = State::kClean;
-      lru_push_back(slot);
+  const std::uint64_t first = key_of(run.file, run.first_block);
+  const std::uint64_t end =
+      first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
+  for (std::uint64_t k = first; k < end;) {
+    std::uint64_t seg_end = 0;
+    std::uint32_t slot = segment(k, end, seg_end);
+    if (slot != kNil && pool_[slot].state == State::kFlushing) {
+      slot = isolate(slot, k, seg_end);
+      Extent& extent = pool_[slot];
+      if (extent.redirtied) {
+        extent.redirtied = false;
+        extent.state = State::kDirty;
+        dirty_link(slot);
+      } else {
+        extent.state = State::kClean;
+        extent.dirty_since = Ticks::zero();
+        clean_push_back(slot);
+      }
     }
+    k = seg_end;
   }
 }
 
@@ -473,26 +655,24 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
   std::int64_t taken = 0;
   std::uint32_t cursor = dirty_head_;
   while (taken < max_blocks && cursor != kNil) {
-    Block& block = pool_[cursor];
-    assert(block.live && block.state == State::kDirty);
-    const std::uint32_t next = block.lru_next;
-    if (min_age > Ticks::zero() && block.dirty_since + min_age > now) {
+    assert(pool_[cursor].state == State::kDirty);
+    const std::uint32_t next = pool_[cursor].next;
+    if (min_age > Ticks::zero() && pool_[cursor].dirty_since + min_age > now) {
       cursor = next;  // still younger than the delayed-write threshold
       continue;
     }
-    dirty_unlink(cursor);
-    ++taken;
-    block.state = State::kFlushing;
-    const std::uint32_t file = file_of(block.key);
-    const std::int64_t block_no = block_of(block.key);
-    const bool extends = !runs.empty() && runs.back().file == file &&
-                         runs.back().first_block + runs.back().count == block_no &&
-                         (max_run_blocks <= 0 || runs.back().count < max_run_blocks);
-    if (extends) {
-      ++runs.back().count;
-    } else {
-      runs.push_back({file, block_no, 1});
+    // The lowest keys go first; a partly taken extent leaves its tail dirty
+    // (and ends the batch).
+    const std::int64_t take = std::min(pool_[cursor].count, max_blocks - taken);
+    if (take < pool_[cursor].count) {
+      split(cursor, pool_[cursor].key + static_cast<std::uint64_t>(take));
     }
+    dirty_unlink(cursor);
+    Extent& extent = pool_[cursor];
+    extent.state = State::kFlushing;
+    extent.dirty_since = Ticks::zero();
+    taken += take;
+    append_blocks(runs, file_of(extent.key), block_of(extent.key), take, max_run_blocks);
     cursor = next;
   }
   return runs;
@@ -500,16 +680,18 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
 
 std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
   std::int64_t cancelled = 0;
-  for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
-    Block& block = pool_[slot];
-    if (!block.live || file_of(block.key) != file) continue;
-    switch (block.state) {
+  for (auto it = index_.lower_bound(key_of(file, 0));
+       it != index_.end() && file_of(it->first) == file;) {
+    const std::uint32_t slot = it->second;
+    ++it;  // erase_extent below invalidates only `slot`'s entry
+    Extent& extent = pool_[slot];
+    switch (extent.state) {
       case State::kClean:
-        lru_unlink(slot);
+        clean_unlink(slot);
         break;
       case State::kDirty:
         dirty_unlink(slot);
-        ++cancelled;
+        cancelled += extent.count;
         break;
       case State::kFetching:
       case State::kFlushing:
@@ -517,10 +699,9 @@ std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
         // fetch/flush_complete bookkeeping stays simple.
         continue;
     }
-    --owned_[block.owner];
-    index_.erase(block.key);
-    free_slot(slot);
-    --live_count_;
+    owners_[extent.owner].owned -= extent.count;
+    live_count_ -= extent.count;
+    erase_extent(slot);
   }
   sequential_.erase(file);
   metrics_->writes_cancelled_blocks += cancelled;

@@ -6,26 +6,37 @@
 // to/from the disk and which in-flight operations the request must join.
 // Completion notifications flow back through fetch_complete/flush_complete.
 //
-// Storage layout (hot path): blocks live in a slot pool (stable indices,
-// free-list recycled) addressed through an open-addressing hash index, and
-// both block lists are intrusive — prev/next slot indices inside the block
-// itself. The clean list is LRU-ordered; the dirty list is kept in ascending
-// (file, block) key order so flush batches coalesce into contiguous runs.
-// A block is on at most one list (Clean and Dirty are disjoint states), so
-// the two share the same pair of link fields. Touching a block on a hit or
-// dirtying an appending write is pointer surgery with zero allocation, where
-// the seed implementation paid an unordered_map node plus a std::list splice
-// per touch and a std::set node per dirtied block.
+// Storage layout (hot path): bookkeeping is per *extent*, a run of
+// key-contiguous blocks of one file that share state, owner, fetch op, dirty
+// time and flags. Extents live in a slot pool (stable indices, free-list
+// recycled) behind an index ordered by (file, first block). The clean LRU and
+// the key-ordered dirty list are intrusive lists of extents. An operation
+// that covers part of an extent splits it, and an extent that continues its
+// list neighbour with the same attributes merges into it, so a 128-block
+// request costs a handful of extent operations instead of 128 block ones.
+//
+// Observable behaviour is exactly that of a per-block cache; the per-block
+// implementation survives as the lockstep reference in tests/. What keeps
+// extents exact:
+//  * Inside a clean extent, LRU order is ascending block number: touches,
+//    fetch_complete and flush_complete all move blocks to the MRU end in
+//    ascending order. The LRU block is the lowest block of the head extent.
+//  * A clean block never changes owner, so each owner's clean list, kept
+//    beside the global LRU, is that LRU filtered by owner. The per-process
+//    cap check and the owner-preferring eviction are therefore O(1).
+//  * Inserting may evict blocks later in the same request, so a request
+//    walks its blocks one segment (an extent's blocks, or a run of absent
+//    blocks) at a time and looks each segment up afresh.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/params.hpp"
-#include "util/flat_map.hpp"
 #include "util/units.hpp"
 
 namespace craysim::sim {
@@ -65,7 +76,10 @@ class BufferCache {
   /// state; the blocks of fetch_runs[i] are tagged with operation id
   /// `first_op_id + i`, and the caller must issue run i under exactly that
   /// id so later requests can join it. No state is modified when space_wait
-  /// or bypass is returned.
+  /// or bypass is returned. Inserting can evict blocks of the same request
+  /// that were counted present; if that leaves an insert with no clean block
+  /// to evict, the request throws craysim::Error (as plan_write and
+  /// try_issue_readahead do in the same situation).
   [[nodiscard]] ReadPlan plan_read(std::uint32_t pid, std::uint32_t file, Bytes offset,
                                    Bytes length, std::uint64_t first_op_id);
 
@@ -119,21 +133,39 @@ class BufferCache {
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  struct Block {
-    std::uint64_t key = 0;         ///< file<<32 | block while live
+  /// `count` blocks from `key` on that share every attribute. Attributes a
+  /// state never reads are held at zero (op_id outside Fetching; dirty_since
+  /// outside Dirty and redirtied Flushing) so that neighbours can merge.
+  struct Extent {
+    std::uint64_t key = 0;         ///< file<<32 | first block
+    std::int64_t count = 0;
     std::uint64_t op_id = 0;       ///< fetch op while Fetching
-    Ticks dirty_since;             ///< when the block was last made dirty
-    std::uint32_t owner = 0;
-    // Intrusive list links (slot indices): the clean-LRU list while Clean,
-    // the key-ordered dirty list while Dirty (the states are disjoint, so
-    // one pair of links serves both) — and the slot doubles as the
-    // free-list node via lru_next when dead.
-    std::uint32_t lru_prev = kNil;
-    std::uint32_t lru_next = kNil;
+    Ticks dirty_since;             ///< when the blocks were last made dirty
+    std::uint32_t owner = 0;       ///< index into owners_
+    // Intrusive list links (slot indices): the clean LRU while Clean, the
+    // key-ordered dirty list while Dirty (the states are disjoint, so one
+    // pair of links serves both) — and the free list through `next` while
+    // the slot is dead.
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+    std::uint32_t owner_prev = kNil;  ///< the owner's clean list while Clean
+    std::uint32_t owner_next = kNil;
     State state = State::kClean;
-    bool live = false;
     bool from_readahead = false;   ///< fetched by prefetch, not yet referenced
     bool redirtied = false;        ///< written while Flushing
+
+    [[nodiscard]] std::uint64_t end() const { return key + static_cast<std::uint64_t>(count); }
+  };
+
+  struct Owner {
+    std::uint32_t pid = 0;
+    /// Blocks charged to the process: +1 per block it inserts, -1 per block
+    /// evicted or invalidated while it owns it. Writes re-own blocks without
+    /// moving this count.
+    std::int64_t owned = 0;
+    std::int64_t clean = 0;        ///< blocks on its clean list
+    std::uint32_t head = kNil;     ///< its clean list, LRU at head
+    std::uint32_t tail = kNil;
   };
 
   static std::uint64_t key_of(std::uint32_t file, std::int64_t block) {
@@ -143,47 +175,70 @@ class BufferCache {
   static std::int64_t block_of(std::uint64_t key) {
     return static_cast<std::int64_t>(key & 0xffffffffull);
   }
+  /// Can `back` fold into `front`: same attributes, and `back` starts where
+  /// `front` ends?
+  static bool mergeable(const Extent& front, const Extent& back);
 
   [[nodiscard]] std::int64_t free_blocks() const { return capacity_blocks_ - live_count_; }
   /// Can `need` new blocks be produced (free + evictable clean)?
   [[nodiscard]] bool can_allocate(std::int64_t need, std::uint32_t pid) const;
-  /// Makes room for one block (evicting the LRU clean block if needed) and
-  /// inserts it; returns the slot. Pre-condition: can_allocate held for the
-  /// whole batch.
-  std::uint32_t insert_block(std::uint64_t key, State state, std::uint32_t pid,
-                             std::uint64_t op_id, bool from_readahead);
-  void evict_one(std::uint32_t prefer_owner);
-  /// Looks up a live block slot; kNil when absent.
-  [[nodiscard]] std::uint32_t find_slot(std::uint64_t key) const;
-  void touch_clean(Block& block);
-  void make_dirty(Block& block, std::uint32_t pid);
-  /// Appends a Clean block at the MRU end of the intrusive list.
-  void lru_push_back(std::uint32_t slot);
-  /// Unlinks a Clean block from the intrusive list.
-  void lru_unlink(std::uint32_t slot);
-  /// Inserts a Dirty block into the intrusive dirty list at its ascending
+  /// The segment starting at `key`: returns the extent holding `key` (its
+  /// blocks up to `end`), or kNil for the absent blocks up to the next
+  /// extent or `end`. Sets `seg_end` to where the segment stops.
+  [[nodiscard]] std::uint32_t segment(std::uint64_t key, std::uint64_t end,
+                                      std::uint64_t& seg_end) const;
+  [[nodiscard]] std::int64_t count_missing(std::uint64_t first, std::uint64_t end) const;
+  /// The owners_ index of `pid`, adding an entry on first use.
+  std::uint32_t owner_index(std::uint32_t pid);
+  /// Makes room for `n` blocks that `owner` inserts one at a time, evicting
+  /// exactly the blocks the per-block rule would, and charges them to it.
+  /// Pre-condition: can_allocate held for the whole request.
+  void reserve(std::int64_t n, std::uint32_t owner);
+  /// Evicts the `n` lowest (least recently used) blocks of clean extent `slot`.
+  void evict_front(std::uint32_t slot, std::int64_t n);
+  /// Indexes a new Fetching, Dirty or Flushing extent (linking a Dirty one).
+  void insert_extent(const Extent& extent);
+  /// Splits `slot` at key `at`, strictly inside it; the back part follows the
+  /// front on its lists. Returns the back part.
+  std::uint32_t split(std::uint32_t slot, std::uint64_t at);
+  /// Splits `slot` so that keys [first, end) form one extent; returns it.
+  std::uint32_t isolate(std::uint32_t slot, std::uint64_t first, std::uint64_t end);
+  /// Moves blocks [first, end) of clean extent `slot` to the MRU end.
+  void touch(std::uint32_t slot, std::uint64_t first, std::uint64_t end);
+  /// A write-behind write over blocks [first, end) of extent `slot`.
+  void make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                  std::uint32_t owner, Ticks now);
+  /// A write-through write over blocks [first, end) of extent `slot`.
+  void write_through(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                     std::uint32_t owner);
+  /// Appends a Clean extent at the MRU end of the LRU and of its owner's
+  /// list, folding it into the tail extent when it continues it.
+  void clean_push_back(std::uint32_t slot);
+  /// Unlinks a Clean extent from the LRU and its owner's list.
+  void clean_unlink(std::uint32_t slot);
+  /// Inserts a Dirty extent into the intrusive dirty list at its ascending
   /// key position (sequential writes append in O(1) via the tail/hint
-  /// checks) and bumps dirty_count_.
+  /// checks), bumps dirty_count_, and merges it with the neighbours it
+  /// continues.
   void dirty_link(std::uint32_t slot);
-  /// Unlinks a Dirty block from the intrusive dirty list and drops
-  /// dirty_count_.
+  /// Unlinks a Dirty extent from the dirty list and drops dirty_count_.
   void dirty_unlink(std::uint32_t slot);
-  /// Releases a slot back to the free list (after index erase).
-  void free_slot(std::uint32_t slot);
-  [[nodiscard]] std::uint32_t slot_of(const Block& block) const {
-    return static_cast<std::uint32_t>(&block - pool_.data());
-  }
+  /// Folds dirty extent `slot` into the list neighbours it continues.
+  void dirty_merge(std::uint32_t slot);
+  std::uint32_t alloc_slot();
+  /// Drops `slot` from the index and releases it to the free list.
+  void erase_extent(std::uint32_t slot);
 
   CacheParams params_;
   CacheMetrics* metrics_;
   std::int64_t capacity_blocks_;
   std::int64_t cap_blocks_per_process_;  ///< 0 = unlimited
-  std::vector<Block> pool_;              ///< slot storage, stable indices
-  std::uint32_t free_head_ = kNil;       ///< free-list through lru_next
-  util::FlatMap64<std::uint32_t> index_; ///< key -> slot
-  std::uint32_t lru_head_ = kNil;        ///< clean blocks, LRU at head
+  std::vector<Extent> pool_;             ///< slot storage, stable indices
+  std::uint32_t free_head_ = kNil;       ///< free list through next
+  std::map<std::uint64_t, std::uint32_t> index_;  ///< first key -> slot
+  std::uint32_t lru_head_ = kNil;        ///< clean extents, LRU at head
   std::uint32_t lru_tail_ = kNil;        ///< MRU end
-  std::int64_t clean_count_ = 0;
+  std::int64_t clean_count_ = 0;         ///< counts are in blocks
   std::int64_t live_count_ = 0;
   // Intrusive dirty list, ascending by key so flush batches form contiguous
   // runs. dirty_hint_ remembers the last insertion point: workloads with
@@ -193,7 +248,8 @@ class BufferCache {
   std::uint32_t dirty_tail_ = kNil;
   std::uint32_t dirty_hint_ = kNil;
   std::int64_t dirty_count_ = 0;
-  std::unordered_map<std::uint32_t, std::int64_t> owned_;
+  std::vector<Owner> owners_;  ///< one per pid seen, in order of first use
+  std::unordered_map<std::uint32_t, std::uint32_t> owner_of_pid_;  ///< pid -> owners_ index
   // Per-file sequential detector for read-ahead.
   struct SeqState {
     Bytes last_end = -1;
