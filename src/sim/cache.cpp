@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -68,28 +66,24 @@ std::uint32_t BufferCache::owner_index(std::uint32_t pid) {
   return it->second;
 }
 
-std::uint32_t BufferCache::segment(std::uint64_t key, std::uint64_t end,
-                                   std::uint64_t& seg_end) const {
-  const auto next = index_.upper_bound(key);
-  if (next != index_.begin()) {
-    const std::uint32_t slot = std::prev(next)->second;
-    if (key < pool_[slot].end()) {
-      seg_end = std::min(pool_[slot].end(), end);
-      return slot;
-    }
+BufferCache::Segment BufferCache::segment(std::uint64_t key, std::uint64_t end) const {
+  static_assert(kNil == util::SortedMap64::kNoValue);
+  const util::SortedMap64::Around around = index_.around(key);
+  if (around.floor != kNil && key < pool_[around.floor].end()) {
+    return {around.floor, std::min(pool_[around.floor].end(), end)};
   }
-  seg_end = next == index_.end() ? end : std::min(next->first, end);
-  return kNil;
+  return {kNil, std::min(around.next, end)};
 }
 
-std::int64_t BufferCache::count_missing(std::uint64_t first, std::uint64_t end) const {
+std::int64_t BufferCache::count_missing(Segment head, std::uint64_t first,
+                                        std::uint64_t end) const {
   std::int64_t missing = 0;
-  for (std::uint64_t k = first; k < end;) {
-    std::uint64_t seg_end = 0;
-    if (segment(k, end, seg_end) == kNil) missing += static_cast<std::int64_t>(seg_end - k);
-    k = seg_end;
+  for (std::uint64_t k = first;;) {
+    if (head.slot == kNil) missing += static_cast<std::int64_t>(head.end - k);
+    k = head.end;
+    if (k >= end) return missing;
+    head = segment(k, end);
   }
-  return missing;
 }
 
 std::uint32_t BufferCache::alloc_slot() {
@@ -112,7 +106,7 @@ void BufferCache::insert_extent(const Extent& extent) {
   assert(extent.state != State::kClean && extent.count > 0);
   const std::uint32_t slot = alloc_slot();
   pool_[slot] = extent;
-  index_.emplace(extent.key, slot);
+  index_.insert(extent.key, slot);
   if (extent.state == State::kDirty) dirty_link(slot);
 }
 
@@ -125,7 +119,7 @@ std::uint32_t BufferCache::split(std::uint32_t slot, std::uint64_t at) {
   back.key = at;
   back.count = static_cast<std::int64_t>(front.end() - at);
   front.count = static_cast<std::int64_t>(at - front.key);
-  index_.emplace(at, back_slot);
+  index_.insert(at, back_slot);
   if (front.state == State::kClean || front.state == State::kDirty) {
     back.prev = slot;
     if (front.next != kNil) {
@@ -324,10 +318,9 @@ void BufferCache::evict_front(std::uint32_t slot, std::int64_t n) {
   extent.count -= n;
   clean_count_ -= n;
   owner.clean -= n;
-  auto node = index_.extract(extent.key);
-  extent.key += static_cast<std::uint64_t>(n);
-  node.key() = extent.key;
-  index_.insert(std::move(node));
+  const std::uint64_t key = extent.key + static_cast<std::uint64_t>(n);
+  index_.rekey(extent.key, key);
+  extent.key = key;
 }
 
 void BufferCache::reserve(std::int64_t n, std::uint32_t owner) {
@@ -440,7 +433,8 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   // Pass 1 (no mutation): count missing blocks.
   const std::uint64_t first = key_of(file, b0);
   const std::uint64_t end = key_of(file, b1);
-  const std::int64_t missing = count_missing(first, end);
+  const Segment head = segment(first, end);
+  const std::int64_t missing = count_missing(head, first, end);
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
     --metrics_->read_requests;  // the retry will count it
@@ -448,12 +442,12 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   }
 
   // Pass 2, segment by segment in ascending order: touch hits, join
-  // in-flight fetches, insert missing blocks as Fetching.
+  // in-flight fetches, insert missing blocks as Fetching. Nothing has
+  // changed since pass 1 looked up the first segment.
   const std::uint32_t owner = owner_index(pid);
   std::int64_t present = 0;
   for (std::uint64_t k = first; k < end;) {
-    std::uint64_t seg_end = 0;
-    std::uint32_t slot = segment(k, end, seg_end);
+    auto [slot, seg_end] = k == first ? head : segment(k, end);
     const auto n = static_cast<std::int64_t>(seg_end - k);
     if (slot == kNil) {
       const std::int64_t block = block_of(k);
@@ -511,7 +505,6 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
       plan.readahead = BlockRun{file, b1, ahead};
     }
     seq.last_end = offset + length;
-    seq.last_length = length;
   }
   return plan;
 }
@@ -534,7 +527,8 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
 
   const std::uint64_t first = key_of(file, b0);
   const std::uint64_t end = key_of(file, b1);
-  const std::int64_t missing = count_missing(first, end);
+  const Segment head = segment(first, end);
+  const std::int64_t missing = count_missing(head, first, end);
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
     --metrics_->write_requests;
@@ -545,8 +539,7 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
   // under write-through every block goes to disk now.
   const std::uint32_t owner = owner_index(pid);
   for (std::uint64_t k = first; k < end;) {
-    std::uint64_t seg_end = 0;
-    const std::uint32_t slot = segment(k, end, seg_end);
+    const auto [slot, seg_end] = k == first ? head : segment(k, end);
     if (slot == kNil) {
       reserve(static_cast<std::int64_t>(seg_end - k), owner);
       Extent fresh;
@@ -572,11 +565,7 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
 
   // Writes also advance the sequential detector (appending writes should not
   // be mistaken for random reads later).
-  if (params_.read_ahead) {
-    SeqState& seq = sequential_[file];
-    seq.last_end = offset + length;
-    seq.last_length = length;
-  }
+  if (params_.read_ahead) sequential_[file].last_end = offset + length;
   return plan;
 }
 
@@ -587,8 +576,8 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
   // Only prefetch when the whole candidate is absent (the frontier case).
   const std::uint64_t first = key_of(candidate.file, candidate.first_block);
   const std::uint64_t end = first + static_cast<std::uint64_t>(candidate.count);
-  std::uint64_t seg_end = 0;
-  if (segment(first, end, seg_end) != kNil || seg_end != end) return std::nullopt;
+  const Segment seg = segment(first, end);
+  if (seg.slot != kNil || seg.end != end) return std::nullopt;
   if (!can_allocate(candidate.count, pid)) return std::nullopt;
   const std::uint32_t owner = owner_index(pid);
   reserve(candidate.count, owner);
@@ -612,8 +601,7 @@ void BufferCache::fetch_complete(const BlockRun& run) {
   const std::uint64_t end =
       first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
   for (std::uint64_t k = first; k < end;) {
-    std::uint64_t seg_end = 0;
-    std::uint32_t slot = segment(k, end, seg_end);
+    auto [slot, seg_end] = segment(k, end);
     if (slot != kNil && pool_[slot].state == State::kFetching) {  // else overwritten meanwhile
       slot = isolate(slot, k, seg_end);
       pool_[slot].state = State::kClean;
@@ -629,8 +617,7 @@ void BufferCache::flush_complete(const BlockRun& run) {
   const std::uint64_t end =
       first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
   for (std::uint64_t k = first; k < end;) {
-    std::uint64_t seg_end = 0;
-    std::uint32_t slot = segment(k, end, seg_end);
+    auto [slot, seg_end] = segment(k, end);
     if (slot != kNil && pool_[slot].state == State::kFlushing) {
       slot = isolate(slot, k, seg_end);
       Extent& extent = pool_[slot];
@@ -680,10 +667,9 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
 
 std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
   std::int64_t cancelled = 0;
-  for (auto it = index_.lower_bound(key_of(file, 0));
-       it != index_.end() && file_of(it->first) == file;) {
-    const std::uint32_t slot = it->second;
-    ++it;  // erase_extent below invalidates only `slot`'s entry
+  for (auto entry = index_.ceil(key_of(file, 0)); entry && file_of(entry->key) == file;
+       entry = index_.ceil(entry->key + 1)) {
+    const std::uint32_t slot = entry->value;
     Extent& extent = pool_[slot];
     switch (extent.state) {
       case State::kClean:

@@ -30,13 +30,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/params.hpp"
+#include "util/sorted_map.hpp"
 #include "util/units.hpp"
 
 namespace craysim::sim {
@@ -179,15 +179,22 @@ class BufferCache {
   /// `front` ends?
   static bool mergeable(const Extent& front, const Extent& back);
 
+  /// Blocks of a request from some key up to `end` that share one fate: the
+  /// blocks of extent `slot`, or (slot == kNil) blocks absent from the cache.
+  struct Segment {
+    std::uint32_t slot = kNil;
+    std::uint64_t end = 0;
+  };
+
   [[nodiscard]] std::int64_t free_blocks() const { return capacity_blocks_ - live_count_; }
   /// Can `need` new blocks be produced (free + evictable clean)?
   [[nodiscard]] bool can_allocate(std::int64_t need, std::uint32_t pid) const;
-  /// The segment starting at `key`: returns the extent holding `key` (its
-  /// blocks up to `end`), or kNil for the absent blocks up to the next
-  /// extent or `end`. Sets `seg_end` to where the segment stops.
-  [[nodiscard]] std::uint32_t segment(std::uint64_t key, std::uint64_t end,
-                                      std::uint64_t& seg_end) const;
-  [[nodiscard]] std::int64_t count_missing(std::uint64_t first, std::uint64_t end) const;
+  /// The segment starting at `key`: the extent holding `key` up to its end
+  /// or `end`, or the absent blocks up to the next extent or `end`.
+  [[nodiscard]] Segment segment(std::uint64_t key, std::uint64_t end) const;
+  /// Absent blocks in [first, end), given `head` = segment(first, end).
+  [[nodiscard]] std::int64_t count_missing(Segment head, std::uint64_t first,
+                                           std::uint64_t end) const;
   /// The owners_ index of `pid`, adding an entry on first use.
   std::uint32_t owner_index(std::uint32_t pid);
   /// Makes room for `n` blocks that `owner` inserts one at a time, evicting
@@ -235,7 +242,7 @@ class BufferCache {
   std::int64_t cap_blocks_per_process_;  ///< 0 = unlimited
   std::vector<Extent> pool_;             ///< slot storage, stable indices
   std::uint32_t free_head_ = kNil;       ///< free list through next
-  std::map<std::uint64_t, std::uint32_t> index_;  ///< first key -> slot
+  util::SortedMap64 index_;              ///< first key -> slot
   std::uint32_t lru_head_ = kNil;        ///< clean extents, LRU at head
   std::uint32_t lru_tail_ = kNil;        ///< MRU end
   std::int64_t clean_count_ = 0;         ///< counts are in blocks
@@ -250,10 +257,9 @@ class BufferCache {
   std::int64_t dirty_count_ = 0;
   std::vector<Owner> owners_;  ///< one per pid seen, in order of first use
   std::unordered_map<std::uint32_t, std::uint32_t> owner_of_pid_;  ///< pid -> owners_ index
-  // Per-file sequential detector for read-ahead.
+  // Per-file sequential detector for read-ahead: where the last access ended.
   struct SeqState {
     Bytes last_end = -1;
-    Bytes last_length = 0;
   };
   std::unordered_map<std::uint32_t, SeqState> sequential_;
 };

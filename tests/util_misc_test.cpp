@@ -1,13 +1,17 @@
-// Tests for RNG, statistics, histograms, time series, tables, and text.
+// Tests for RNG, statistics, histograms, time series, tables, text, and the
+// sorted map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_map.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/text.hpp"
@@ -315,6 +319,83 @@ TEST(AsciiPlot, ContainsBarsAndLabels) {
 TEST(SeriesCsv, Format) {
   const std::vector<double> series = {1.0, 2.0};
   EXPECT_EQ(series_csv(series, 0.5, "t", "v"), "t,v\n0,1\n0.5,2\n");
+}
+
+// ---------------------------------------------------------- SortedMap64 ---
+
+// Random inserts, erases and order-preserving rekeys against std::map, in
+// phases that grow the map to thousands of keys (many leaf splits) and drain
+// it again (merges and dropped leaves).
+TEST(SortedMap64, MatchesStdMap) {
+  using util::SortedMap64;
+  SortedMap64 map;
+  std::map<std::uint64_t, std::uint32_t> want;
+  Rng rng(11);
+  const auto expect_same_at = [&](std::uint64_t key) {
+    const SortedMap64::Around around = map.around(key);
+    const auto next = want.upper_bound(key);
+    ASSERT_EQ(around.floor, next == want.begin() ? SortedMap64::kNoValue : std::prev(next)->second)
+        << key;
+    ASSERT_EQ(around.next, next == want.end() ? SortedMap64::kNoKey : next->first) << key;
+    const auto ceil = map.ceil(key);
+    const auto at = want.lower_bound(key);
+    ASSERT_EQ(ceil.has_value(), at != want.end()) << key;
+    if (ceil) {
+      ASSERT_EQ(ceil->key, at->first) << key;
+      ASSERT_EQ(ceil->value, at->second) << key;
+    }
+  };
+  for (int phase = 0; phase < 6; ++phase) {
+    const double insert_share = phase % 2 == 0 ? 0.8 : 0.2;
+    for (int step = 0; step < 20000; ++step) {
+      const auto key = static_cast<std::uint64_t>(rng.uniform_int(0, 40000));
+      const auto it = want.find(key);
+      if (it == want.end() && rng.chance(insert_share)) {
+        const auto value = static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 30));
+        map.insert(key, value);
+        want.emplace(key, value);
+      } else if (it != want.end() && rng.chance(0.7)) {
+        map.erase(key);
+        want.erase(it);
+      } else if (it != want.end()) {
+        // Move the key up inside the gap before its successor.
+        const auto next = std::next(it);
+        const std::uint64_t limit = next == want.end() ? key + 100 : next->first;
+        if (limit > key + 1) {
+          const auto to = key + 1 + static_cast<std::uint64_t>(rng.uniform_int(
+                                        0, static_cast<std::int64_t>(limit - key - 2)));
+          map.rekey(key, to);
+          const std::uint32_t value = it->second;
+          want.erase(it);
+          want.emplace(to, value);
+        }
+      }
+      ASSERT_EQ(map.size(), want.size());
+      expect_same_at(key);
+      expect_same_at(static_cast<std::uint64_t>(rng.uniform_int(0, 40100)));
+      if (HasFatalFailure()) return;
+    }
+    // Walk the whole map through ceil().
+    std::size_t walked = 0;
+    for (auto e = map.ceil(0); e; e = map.ceil(e->key + 1)) {
+      const auto it = want.find(e->key);
+      ASSERT_NE(it, want.end());
+      ASSERT_EQ(e->value, it->second);
+      ++walked;
+    }
+    EXPECT_EQ(walked, want.size());
+  }
+  // Drain from the top: the last leaf, having no successor, merges into its
+  // predecessor.
+  while (!want.empty()) {
+    const std::uint64_t key = std::prev(want.end())->first;
+    map.erase(key);
+    want.erase(key);
+    ASSERT_EQ(map.size(), want.size());
+    expect_same_at(key);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_FALSE(map.ceil(0).has_value());
 }
 
 }  // namespace
