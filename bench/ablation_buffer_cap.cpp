@@ -5,14 +5,11 @@
 // We run a hog-prone pair (venus + les) in a mid-size cache with and without
 // per-process ownership caps.
 #include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics.hpp"
-#include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -42,31 +39,16 @@ craysim::sim::SimResult run_with(const craysim::sim::SimParams& params) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
-  bench::heading("Ablation: per-process buffer ownership caps (venus + les, 32 MB cache)");
-
   const std::vector<Config> configs = {
       {"no cap (paper default)", 0},
       {"cap = 1/2 of cache", Bytes{16} * kMB},
       {"cap = 1/4 of cache", Bytes{8} * kMB},
       {"cap = 1/8 of cache", Bytes{4} * kMB},
   };
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  bench::apply_resilience(res_args, runner_options);
-  bench::SweepObserver sweep_obs(obs_args, configs.size());
-  sweep_obs.arm_flight(res_args);
-  bench::apply_telemetry(obs_args, runner_options, nullptr, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
-  std::vector<std::size_t> indices(configs.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  const bench::SimResultCodec codec([&](std::size_t i) { return configs[i].name; });
-  const auto results = bench::run_sweep(pool, res_args, indices, [&](std::size_t i) {
-    sim::SimParams params = config_params(configs[i]);
-    sweep_obs.instrument(i, configs[i].name, params);
-    return run_with(params);
-  }, codec, &sweep_obs);
+  bench::Sweep sweep(argc, argv, bench::labels_of(configs, [](const Config& c) { return c.name; }));
+  bench::heading("Ablation: per-process buffer ownership caps (venus + les, 32 MB cache)");
+  const auto results =
+      sweep.run([&](std::size_t i) { return config_params(configs[i]); }, run_with);
 
   TextTable table({"configuration", "wall s", "idle s", "util %", "space waits"});
   double util_uncapped = 0;
@@ -93,17 +75,5 @@ int main(int argc, char** argv) {
   bench::check(util_worst_capped <= util_uncapped + 0.005,
                "ownership caps do not improve utilization (and can worsen it)");
 
-  if (!sweep_obs.finish()) return 1;
-  if (!bench::write_point_trace(obs_args, config_params(configs[0]),
-                                [](const sim::SimParams& p) { (void)run_with(p); })) {
-    return 1;
-  }
-  if (!obs_args.metrics_path.empty()) {
-    obs::MetricsRegistry registry;
-    results[0].publish_metrics(registry, "sim");
-    pool.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("wrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
-  }
-  return 0;
+  return sweep.finish(results[0], config_params(configs[0]), run_with);
 }

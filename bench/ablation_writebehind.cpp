@@ -3,15 +3,12 @@
 //  simulation of two identical copies of venus running with a 128 MB cache."
 // Also ablates read-ahead, since the section credits both techniques.
 #include <cstdio>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics.hpp"
-#include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -47,29 +44,14 @@ std::string point_label(const PolicyPoint& point) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
-  bench::heading("Ablation: write-behind and read-ahead (2 x venus, 128 MB cache)");
-
   std::vector<PolicyPoint> points;
   for (const bool wb : {true, false}) {
     for (const bool ra : {true, false}) points.push_back({wb, ra});
   }
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  bench::apply_resilience(res_args, runner_options);
-  bench::SweepObserver sweep_obs(obs_args, points.size());
-  sweep_obs.arm_flight(res_args);
-  bench::apply_telemetry(obs_args, runner_options, nullptr, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
-  std::vector<std::size_t> indices(points.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  const bench::SimResultCodec codec([&](std::size_t i) { return point_label(points[i]); });
-  const auto results = bench::run_sweep(pool, res_args, indices, [&](std::size_t i) {
-    sim::SimParams params = point_params(points[i]);
-    sweep_obs.instrument(i, point_label(points[i]), params);
-    return run_with(params);
-  }, codec, &sweep_obs);
+  bench::Sweep sweep(argc, argv, bench::labels_of(points, point_label));
+  bench::heading("Ablation: write-behind and read-ahead (2 x venus, 128 MB cache)");
+  const auto results =
+      sweep.run([&](std::size_t i) { return point_params(points[i]); }, run_with);
 
   TextTable table({"write-behind", "read-ahead", "idle s", "wall s", "utilization %"});
   double idle_wb = 0;
@@ -94,17 +76,5 @@ int main(int argc, char** argv) {
   bench::check(idle_no_wb / std::max(idle_wb, 0.5) > 20.0,
                "write-behind removes the overwhelming majority of idle time");
 
-  if (!sweep_obs.finish()) return 1;
-  if (!bench::write_point_trace(obs_args, point_params(points[0]),
-                                [](const sim::SimParams& p) { (void)run_with(p); })) {
-    return 1;
-  }
-  if (!obs_args.metrics_path.empty()) {
-    obs::MetricsRegistry registry;
-    results[0].publish_metrics(registry, "sim");
-    pool.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("wrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
-  }
-  return 0;
+  return sweep.finish(results[0], point_params(points[0]), run_with);
 }

@@ -6,16 +6,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/atomic_file.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace craysim::bench {
 
@@ -85,21 +89,54 @@ inline std::string take_json_arg(int& argc, char** argv) {
   return take_value_arg(argc, argv, "--json");
 }
 
-/// Telemetry destinations shared by the instrumented benches and examples:
-/// "--metrics <path>" names a metrics-snapshot JSONL file, "--perfetto
-/// <path>" a single-point Chrome trace-event JSON file, "--perfetto-sweep
-/// <path>" a merged multi-point trace (every sweep point as its own labeled
-/// Perfetto process group), "--timeseries <path>" the counter samples as
-/// JSONL, and "--counter-interval <ms>" the sim-time sampling period. Any
-/// may be absent (empty path = that sink is off). Parsing only — the caller
-/// owns the obs:: objects (see SweepObserver in sweep_obs.hpp for the
-/// sweep-scale ones).
+/// Consumes a "<flag> <number>" pair like take_value_arg and parses the
+/// number strictly (parse_double / parse_int / parse_uint by T). Returns
+/// nullopt when the flag is absent; throws ConfigError naming the flag when
+/// the value is not a number or `valid` (if given) rejects it. `expected`
+/// says what the flag accepts.
+template <typename T>
+[[nodiscard]] std::optional<T> take_number_arg(int& argc, char** argv, std::string_view flag,
+                                               std::string_view expected,
+                                               bool (*valid)(T) = nullptr) {
+  const std::string text = take_value_arg(argc, argv, flag);
+  if (text.empty()) return std::nullopt;
+  std::optional<T> value;
+  if constexpr (std::is_same_v<T, double>) {
+    value = parse_double(text);
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    value = parse_int(text);
+  } else {
+    value = parse_uint(text);
+  }
+  if (!value || (valid != nullptr && !valid(*value))) {
+    throw ConfigError(std::string(flag) + " expects " + std::string(expected) + ", got \"" +
+                      text + "\"");
+  }
+  return value;
+}
+
+/// Bounds shared by the numeric sweep flags. The upper limits keep values
+/// convertible to nanosecond counts and 32-bit attempt counters.
+inline bool positive_finite(double v) { return v > 0.0 && v <= 1e9; }
+inline bool unit_rate(double v) { return v >= 0.0 && v <= 1.0; }
+inline bool at_least_one(std::int64_t v) { return v >= 1 && v <= 1'000'000; }
+
+/// Telemetry destinations shared by the sweep benches: "--metrics <path>"
+/// names a metrics-snapshot JSONL file, "--perfetto <path>" a single-point
+/// Chrome trace-event JSON file, "--perfetto-sweep <path>" a merged
+/// multi-point trace (every sweep point as its own labeled Perfetto process
+/// group), "--timeseries <path>" the counter samples as JSONL, and
+/// "--counter-interval <ms>" the sim-time sampling period. Any may be absent
+/// (empty path = that sink is off). Parsing only — bench::Sweep (sweep.hpp)
+/// owns the obs:: objects.
 struct ObsArgs {
   std::string metrics_path;
   std::string perfetto_path;
   std::string perfetto_sweep_path;
   std::string timeseries_path;
-  double counter_interval_ms = 0.0;  ///< 0 = SweepObserver's default
+  /// Sim-time counter sampling period. 100 ms of simulated time keeps even
+  /// hour-long runs under ~40k samples per counter track.
+  double counter_interval_ms = 100.0;
   std::string listen_addr;  ///< "--listen host:port": live /metrics + /status server
   std::string attribution_path;  ///< "--attribution <path>": per-point attribution JSONL
   std::size_t attr_top = 10;     ///< "--top <n>": rows per hotspot table
@@ -115,6 +152,7 @@ struct ObsArgs {
     return !attribution_path.empty() || !listen_addr.empty();
   }
 
+  /// Consumes the flags from argv; throws ConfigError on a malformed value.
   [[nodiscard]] static ObsArgs take(int& argc, char** argv) {
     // Every telemetered bench passes through here, so this is the one spot
     // to arm the interrupted-run flush behavior.
@@ -126,26 +164,31 @@ struct ObsArgs {
     args.timeseries_path = take_value_arg(argc, argv, "--timeseries");
     args.listen_addr = take_value_arg(argc, argv, "--listen");
     args.attribution_path = take_value_arg(argc, argv, "--attribution");
-    const std::string top = take_value_arg(argc, argv, "--top");
-    if (!top.empty()) args.attr_top = static_cast<std::size_t>(std::stoul(top));
-    const std::string interval = take_value_arg(argc, argv, "--counter-interval");
-    if (!interval.empty()) args.counter_interval_ms = std::stod(interval);
+    if (const auto top = take_number_arg<std::int64_t>(argc, argv, "--top", "an integer >= 1",
+                                                       at_least_one)) {
+      args.attr_top = static_cast<std::size_t>(*top);
+    }
+    if (const auto ms = take_number_arg<double>(argc, argv, "--counter-interval",
+                                                "a number of milliseconds > 0",
+                                                positive_finite)) {
+      args.counter_interval_ms = *ms;
+    }
     return args;
   }
 };
 
 /// Resilience knobs shared by every sweep bench (docs/RESILIENCE.md):
 /// "--journal <path>" checkpoints each settled point and resumes a partial
-/// sweep, "--deadline <seconds>" bounds each point with a cooperative
-/// deadline, "--max-attempts <n>" retries failed/timed-out points with
-/// deterministic backoff, and "--chaos-fail <rate>" / "--chaos-hang <rate>"
-/// / "--chaos-seed <n>" inject synthetic point failures or deadline-length
-/// hangs (drills; a hang requires "--deadline"). All absent by default, in
-/// which case the runner takes its legacy bit-identical path.
+/// sweep, "--deadline <seconds>" bounds each point's simulation with a
+/// cooperative deadline, "--max-attempts <n>" retries failed/timed-out
+/// points with deterministic backoff, and "--chaos-fail <rate>" /
+/// "--chaos-hang <rate>" / "--chaos-seed <n>" inject synthetic point
+/// failures or deadline-length hangs (drills; a hang requires "--deadline").
+/// All absent by default: one attempt per point, no deadline, no journal.
 struct ResilienceArgs {
   std::string journal_path;
-  double deadline_s = 0.0;
-  int max_attempts = 0;  ///< 0 = runner default (no retries)
+  double deadline_s = 0.0;  ///< 0 = no deadline
+  int max_attempts = 0;     ///< 0 = not given (one attempt)
   double chaos_fail_rate = 0.0;
   double chaos_hang_rate = 0.0;
   std::uint64_t chaos_seed = 0;  ///< 0 = plan default
@@ -155,19 +198,30 @@ struct ResilienceArgs {
            chaos_fail_rate > 0.0 || chaos_hang_rate > 0.0;
   }
 
+  /// Consumes the flags from argv; throws ConfigError on a malformed value
+  /// or a hang without a deadline.
   [[nodiscard]] static ResilienceArgs take(int& argc, char** argv) {
     ResilienceArgs args;
     args.journal_path = take_value_arg(argc, argv, "--journal");
-    const std::string deadline = take_value_arg(argc, argv, "--deadline");
-    if (!deadline.empty()) args.deadline_s = std::stod(deadline);
-    const std::string attempts = take_value_arg(argc, argv, "--max-attempts");
-    if (!attempts.empty()) args.max_attempts = std::stoi(attempts);
-    const std::string fail = take_value_arg(argc, argv, "--chaos-fail");
-    if (!fail.empty()) args.chaos_fail_rate = std::stod(fail);
-    const std::string hang = take_value_arg(argc, argv, "--chaos-hang");
-    if (!hang.empty()) args.chaos_hang_rate = std::stod(hang);
-    const std::string seed = take_value_arg(argc, argv, "--chaos-seed");
-    if (!seed.empty()) args.chaos_seed = std::stoull(seed);
+    args.deadline_s = take_number_arg<double>(argc, argv, "--deadline",
+                                              "a number of seconds > 0", positive_finite)
+                          .value_or(0.0);
+    args.max_attempts = static_cast<int>(
+        take_number_arg<std::int64_t>(argc, argv, "--max-attempts", "an integer >= 1",
+                                      at_least_one)
+            .value_or(0));
+    args.chaos_fail_rate =
+        take_number_arg<double>(argc, argv, "--chaos-fail", "a rate in [0, 1]", unit_rate)
+            .value_or(0.0);
+    args.chaos_hang_rate =
+        take_number_arg<double>(argc, argv, "--chaos-hang", "a rate in [0, 1]", unit_rate)
+            .value_or(0.0);
+    args.chaos_seed =
+        take_number_arg<std::uint64_t>(argc, argv, "--chaos-seed", "an unsigned integer")
+            .value_or(0);
+    if (args.chaos_hang_rate > 0.0 && args.deadline_s <= 0.0) {
+      throw ConfigError("--chaos-hang needs --deadline (a hang with no deadline never ends)");
+    }
     return args;
   }
 };

@@ -10,26 +10,23 @@
 // Both sweeps fan out across the experiment runner; the drop-rate points all
 // read one shared, immutable copy of the synthesized venus trace.
 //
-// Telemetry ("--metrics", "--perfetto", "--perfetto-sweep", "--timeseries",
-// "--counter-interval <ms>") instruments the disk-fault *simulator* sweep;
-// the tracer drop-rate sweep has no simulator and stays untelemetered. The
-// resilience flags ("--journal", "--deadline", "--max-attempts",
-// "--chaos-fail", "--chaos-seed"; docs/RESILIENCE.md) likewise apply to the
-// simulator sweep only — it is the one whose points are slow enough to be
-// worth checkpointing — and route it through its own resilient runner.
+// The sweep flags (telemetry: "--metrics", "--perfetto", "--perfetto-sweep",
+// "--timeseries", "--counter-interval <ms>"; resilience: "--journal",
+// "--deadline", "--max-attempts", "--chaos-fail", "--chaos-seed";
+// docs/RESILIENCE.md) drive the disk-fault *simulator* sweep — it is the one
+// whose points are slow enough to be worth checkpointing. The tracer
+// drop-rate sweep has no simulator and no journal codec; it runs on its own
+// plain runner, untelemetered.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <numeric>
-#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "faults/fault.hpp"
-#include "obs/metrics.hpp"
 #include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "trace/stats.hpp"
 #include "tracer/pipeline.hpp"
 #include "util/table.hpp"
@@ -79,34 +76,22 @@ std::string disk_point_label(double rate) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
+  const std::vector<double> error_rates = {0.0, 0.01, 0.05, 0.10};
+  bench::Sweep sweep(argc, argv, bench::labels_of(error_rates, disk_point_label));
   bench::heading("Fault sweep: lossy trace recovery fidelity");
 
-  const runner::SharedTrace original = runner::share_trace(
-      workload::synthesize_trace(workload::make_profile(workload::AppId::kVenus)));
-  const auto full = trace::compute_stats(*original);
+  const trace::Trace original =
+      workload::synthesize_trace(workload::make_profile(workload::AppId::kVenus));
+  const auto full = trace::compute_stats(original);
   tracer::TracerOptions options;
   options.entries_per_packet = 16;  // small packets so drops bite at low rates
 
   const std::vector<double> drop_rates = {0.0, 0.01, 0.02, 0.05, 0.10, 0.20};
-  // The observer watches the simulator sweep further down, but it has to
-  // exist before whichever runner serves the live plane (its /attribution
-  // handler is registered at runner construction).
-  const std::vector<double> error_rates = {0.0, 0.01, 0.05, 0.10};
-  bench::SweepObserver sweep_obs(obs_args, error_rates.size());
-  sweep_obs.arm_flight(res_args);
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  // With resilience flags the simulator sweep below gets its own pool, and
-  // the live plane (one port) belongs to it; otherwise this shared pool
-  // serves both sweeps.
-  if (!res_args.any()) bench::apply_telemetry(obs_args, runner_options, nullptr, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
+  runner::ExperimentRunner pool;
   const std::vector<DropResult> drops = pool.run(drop_rates, [&](double rate) {
     faults::FaultPlan plan;
     plan.packet.drop_rate = rate;
-    const auto collector = tracer::instrument_trace(*original, plan, options);
+    const auto collector = tracer::instrument_trace(original, plan, options);
     const auto recovered =
         tracer::reconstruct_lossy(collector.log(), collector.sequences_issued());
     DropResult out;
@@ -158,27 +143,8 @@ int main(int argc, char** argv) {
   std::printf("%s", ascii_plot(kept_pct, plot).c_str());
 
   bench::heading("Fault sweep: simulator under injected disk failures");
-  std::vector<std::size_t> indices(error_rates.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  // The simulator sweep gets its own resilient runner only when a flag asks
-  // for one; otherwise it reuses `pool` and the whole bench is byte-identical
-  // to the pre-resilience behavior.
-  std::optional<runner::ExperimentRunner> resilient_pool;
-  if (res_args.any()) {
-    runner::RunnerOptions sim_options = runner_options;
-    bench::apply_resilience(res_args, sim_options);
-    bench::apply_telemetry(obs_args, sim_options, nullptr, sweep_obs);
-    resilient_pool.emplace(sim_options);
-  }
-  runner::ExperimentRunner& sim_pool = resilient_pool ? *resilient_pool : pool;
-  const bench::SimResultCodec codec(
-      [&](std::size_t i) { return disk_point_label(error_rates[i]); });
-  const std::vector<sim::SimResult> disk_results =
-      bench::run_sweep(sim_pool, res_args, indices, [&](std::size_t i) {
-        sim::SimParams params = disk_point_params(error_rates[i]);
-        sweep_obs.instrument(i, disk_point_label(error_rates[i]), params);
-        return run_disk_with(params);
-      }, codec, &sweep_obs);
+  const std::vector<sim::SimResult> disk_results = sweep.run(
+      [&](std::size_t i) { return disk_point_params(error_rates[i]); }, run_disk_with);
   TextTable disks({"transient rate %", "wall s", "slowdown %", "transients", "retries",
                    "backoff s", "disks lost"});
   const double base_wall = disk_results[0].total_wall.seconds();
@@ -202,20 +168,11 @@ int main(int argc, char** argv) {
   bench::check(fidelity_ok, "summary statistics stay within 10% of lossless up to 5% drop");
   bench::check(survived_ok, "the simulator completes every run, even degraded");
 
-  if (!sweep_obs.finish()) return 1;
-  if (!bench::write_point_trace(obs_args, disk_point_params(0.05),
-                                [](const sim::SimParams& p) { (void)run_disk_with(p); })) {
-    return 1;
-  }
-  if (!obs_args.metrics_path.empty()) {
-    obs::MetricsRegistry registry;
-    disk_results.back().publish_metrics(registry, "sim");
-    // With resilience engaged the simulator sweep ran on its own pool, and
-    // its tallies (including the runner.* resilience counters) are the
-    // interesting ones; without it sim_pool IS pool, covering both sweeps.
-    sim_pool.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("wrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
+  // The --metrics runner.* series cover the simulator sweep's runner only.
+  if (const int status = sweep.finish(disk_results.back(), disk_point_params(0.05),
+                                      run_disk_with);
+      status != 0) {
+    return status;
   }
   return accounting_ok && fidelity_ok && survived_ok ? 0 : 1;
 }

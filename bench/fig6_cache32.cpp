@@ -11,10 +11,8 @@
 
 #include "analysis/series.hpp"
 #include "bench_common.hpp"
-#include "obs/metrics.hpp"
-#include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "util/stats.hpp"
 #include "workload/profiles.hpp"
 
@@ -32,26 +30,12 @@ craysim::sim::SimResult run_with(const craysim::sim::SimParams& params) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
-  bench::heading("Figure 6: 2 x venus, 32 MB main-memory cache -- disk data rate (wall time)");
-
-  // A single configuration, still dispatched through the experiment runner so
+  // A single configuration, still dispatched through the sweep harness so
   // every figure bench shares one execution path.
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  bench::apply_resilience(res_args, runner_options);
-  bench::SweepObserver sweep_obs(obs_args, 1);
-  sweep_obs.arm_flight(res_args);
-  bench::apply_telemetry(obs_args, runner_options, nullptr, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
-  const std::vector<std::size_t> points = {0};
-  const bench::SimResultCodec codec([](std::size_t) { return "venus x2, 32 MB cache"; });
-  sim::SimResult result = std::move(bench::run_sweep(pool, res_args, points, [&](std::size_t) {
-    sim::SimParams params = sim::SimParams::paper_main_memory(Bytes{32} * kMB);
-    sweep_obs.instrument(0, "venus x2, 32 MB cache", params);
-    return run_with(params);
-  }, codec, &sweep_obs)[0]);
+  bench::Sweep sweep(argc, argv, {"venus x2, 32 MB cache"});
+  bench::heading("Figure 6: 2 x venus, 32 MB main-memory cache -- disk data rate (wall time)");
+  const auto params = [](std::size_t) { return sim::SimParams::paper_main_memory(Bytes{32} * kMB); };
+  sim::SimResult result = std::move(sweep.run(params, run_with)[0]);
 
   auto rates = result.disk_rate.rates();
   const std::size_t window = std::min<std::size_t>(rates.size(), 200);
@@ -69,17 +53,5 @@ int main(int argc, char** argv) {
   bench::check(result.cpu_idle > Ticks::from_seconds(5),
                "a 32 MB main-memory cache leaves real CPU idle time for 2 x venus");
 
-  if (!sweep_obs.finish()) return 1;
-  if (!bench::write_point_trace(obs_args, sim::SimParams::paper_main_memory(Bytes{32} * kMB),
-                                [](const sim::SimParams& p) { (void)run_with(p); })) {
-    return 1;
-  }
-  if (!obs_args.metrics_path.empty()) {
-    obs::MetricsRegistry registry;
-    result.publish_metrics(registry, "sim");
-    pool.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("wrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
-  }
-  return 0;
+  return sweep.finish(result, params(0), run_with);
 }

@@ -13,14 +13,11 @@
 // replay), "--perfetto-sweep" (all 14 points merged into one Perfetto
 // timeline), "--timeseries", "--counter-interval <ms>". All passive.
 #include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics.hpp"
-#include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -55,31 +52,16 @@ std::string point_label(const SweepPoint& point) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
-  bench::heading("Figure 8: idle time vs cache size, 2 x venus (4 KB and 8 KB blocks)");
-
   const Bytes sizes_mb[] = {4, 8, 16, 32, 64, 128, 256};
   std::vector<SweepPoint> points;
   for (const Bytes mb : sizes_mb) {
     points.push_back({mb, 4 * kKiB});
     points.push_back({mb, 8 * kKiB});
   }
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  bench::apply_resilience(res_args, runner_options);
-  bench::SweepObserver sweep_obs(obs_args, points.size());
-  sweep_obs.arm_flight(res_args);
-  bench::apply_telemetry(obs_args, runner_options, nullptr, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
-  std::vector<std::size_t> indices(points.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  const bench::SimResultCodec codec([&](std::size_t i) { return point_label(points[i]); });
-  const auto results = bench::run_sweep(pool, res_args, indices, [&](std::size_t i) {
-    sim::SimParams params = point_params(points[i]);
-    sweep_obs.instrument(i, point_label(points[i]), params);
-    return run_with(params);
-  }, codec, &sweep_obs);
+  bench::Sweep sweep(argc, argv, bench::labels_of(points, point_label));
+  bench::heading("Figure 8: idle time vs cache size, 2 x venus (4 KB and 8 KB blocks)");
+  const auto results =
+      sweep.run([&](std::size_t i) { return point_params(points[i]); }, run_with);
 
   TextTable table({"cache MB", "idle s (4K blocks)", "idle s (8K blocks)", "wall s (4K)",
                    "util % (4K)"});
@@ -111,17 +93,5 @@ int main(int argc, char** argv) {
   bench::check(idle_small_4k > 20.0 * std::max(idle_big_4k, 0.5),
                "idle time falls by orders of magnitude across the sweep");
 
-  if (!sweep_obs.finish()) return 1;
-  if (!bench::write_point_trace(obs_args, point_params({32, 4 * kKiB}),
-                                [](const sim::SimParams& p) { (void)run_with(p); })) {
-    return 1;
-  }
-  if (!obs_args.metrics_path.empty()) {
-    obs::MetricsRegistry registry;
-    results[0].publish_metrics(registry, "sim");
-    pool.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("wrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
-  }
-  return 0;
+  return sweep.finish(results[0], point_params({32, 4 * kKiB}), run_with);
 }

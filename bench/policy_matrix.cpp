@@ -26,18 +26,16 @@
 // / "--chaos-seed <n>" bound, retry, and chaos-test the points. A journaled
 // sweep with a deadline also arms the flight recorder: timed-out points
 // dump their last span/counter events to <journal>.flight.json. Absent
-// flags keep the runner on its legacy bit-identical path.
+// flags leave the table byte-identical.
 #include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/span.hpp"
-#include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -76,12 +74,6 @@ std::string point_label(const PolicyPoint& point) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
-  obs::MetricsRegistry registry;
-  obs::PhaseProfiler phases;
-  bench::heading("Section 6.2 policy matrix: utilization %, each app alone in a 16 MB cache");
-
   // Policy order per app: RA+WB, RA only, WB only, neither.
   const bool policies[4][2] = {{true, true}, {true, false}, {false, true}, {false, false}};
   const auto apps = workload::all_apps();
@@ -90,26 +82,21 @@ int main(int argc, char** argv) {
     for (const auto& policy : policies) points.push_back({app, policy[0], policy[1]});
   }
 
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  bench::apply_resilience(res_args, runner_options);
-  bench::SweepObserver sweep_obs(obs_args, points.size());
-  sweep_obs.arm_flight(res_args);
-  bench::apply_telemetry(obs_args, runner_options, &registry, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
-  std::vector<std::size_t> indices(points.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  const bench::DoubleCodec codec([&](std::size_t i) { return point_label(points[i]); });
+  obs::MetricsRegistry registry;  // outlives the sweep: --listen scrapes fold it in
+  bench::Sweep sweep(argc, argv, bench::labels_of(points, point_label), &registry);
+  const bench::ObsArgs& obs_args = sweep.obs_args();
+  obs::PhaseProfiler phases;
+  bench::heading("Section 6.2 policy matrix: utilization %, each app alone in a 16 MB cache");
+
   std::vector<double> utils;
   {
     const auto scope = phases.scope("sweep");
-    utils = bench::run_sweep(pool, res_args, indices, [&](std::size_t i) {
-      sim::SimParams params = point_params(points[i]);
-      sweep_obs.instrument(i, point_label(points[i]), params);
-      return run_point(points[i], params).cpu_utilization();
-    }, codec, &sweep_obs);
+    utils = sweep.run([&](std::size_t i) { return point_params(points[i]); },
+                      [&](std::size_t i, const sim::SimParams& params) {
+                        return run_point(points[i], params).cpu_utilization();
+                      });
   }
-  if (!sweep_obs.finish()) return 1;
+  if (!sweep.finish()) return 1;
   const auto util_of = [&](workload::AppId app, std::size_t policy) {
     for (std::size_t a = 0; a < apps.size(); ++a) {
       if (apps[a] == app) return 100.0 * utils[a * 4 + policy];
@@ -172,7 +159,7 @@ int main(int argc, char** argv) {
   if (!obs_args.metrics_path.empty()) {
     const PolicyPoint venus_point{workload::AppId::kVenus, true, true};
     run_point(venus_point, point_params(venus_point)).publish_metrics(registry, "sim.venus");
-    pool.publish_metrics(registry);
+    sweep.runner().publish_metrics(registry);
     phases.publish_metrics(registry);
     registry.save_jsonl(obs_args.metrics_path);
     std::printf("\nwrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());

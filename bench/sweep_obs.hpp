@@ -1,35 +1,25 @@
-// Sweep-scale telemetry helper shared by the figure/table benches.
+// Sweep-scale telemetry for the figure/table benches, owned by bench::Sweep
+// (sweep.hpp).
 //
 // Wraps an obs::SpanRecorderPool behind the ObsArgs flags: each sweep point
 // claims its own recorder (plus the sim-time counter sampling interval)
 // right where its SimParams are built, and finish() validates every
 // recording and writes the merged Perfetto trace / counter time series the
 // user asked for. With neither --perfetto-sweep nor --timeseries given the
-// pool is disabled and instrument() is a no-op, so the sweep's results and
-// printed output are byte-identical to an untelemetered run.
+// pool is disabled and instrument() attaches no recorder, so the sweep's
+// results and printed output are byte-identical to an untelemetered run.
 //
 // Latency attribution rides the same shape (docs/OBSERVABILITY.md): with
 // --attribution (or --listen) each point gets its own obs::AttributionLedger,
 // finish() writes the per-point blame rows as JSONL and prints the merged
-// "where did the time go" report, and the four-argument apply_telemetry
-// overload serves the merged ledgers live on /attribution and as sim_attr_*
-// metrics. Without those flags params.attribution stays null and the sweep
-// is bit-identical.
-//
-// Also home to the benches' resilience wiring (docs/RESILIENCE.md):
-// apply_resilience() maps the ResilienceArgs flags onto RunnerOptions, the
-// codecs give the runner's journal a lossless round trip for the two result
-// types the sweeps produce, and run_sweep() runs the journal-capable runner
-// path, reporting per-point outcomes when any flag was given. With no flag
-// given all of it collapses to the legacy pool.run path, byte for byte.
+// "where did the time go" report, and Sweep serves the merged ledgers live
+// on /attribution and as sim_attr_* metrics. Without those flags
+// params.attribution stays null and the sweep is bit-identical.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <memory>
-#include <mutex>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,29 +31,37 @@
 #include "obs/metrics.hpp"
 #include "obs/sanitize.hpp"
 #include "obs/span_pool.hpp"
-#include "runner/runner.hpp"
-#include "sim/metrics.hpp"
+#include "runner/journal.hpp"
 #include "sim/params.hpp"
 #include "util/atomic_file.hpp"
-#include "util/digest.hpp"
 
 namespace craysim::bench {
 
-/// Sampling period used when sweep telemetry is on but --counter-interval
-/// was not given: 100 ms of simulated time keeps even hour-long runs under
-/// ~40k samples per counter track.
-inline constexpr double kDefaultCounterIntervalMs = 100.0;
-
 class SweepObserver {
  public:
-  SweepObserver(const ObsArgs& args, std::size_t points)
-      : args_(args), pool_(points, args.sweep_telemetry()) {
+  /// Builds what the flags ask for, one slot per label: span recorders
+  /// (--perfetto-sweep, --timeseries), blame ledgers (--attribution,
+  /// --listen), and the deadline flight recorder. The flight recorder
+  /// (docs/OBSERVABILITY.md) is one bounded ring per point, filled by a span
+  /// tee while the point runs and dumped to `<journal>.flight.json` by
+  /// dump_flight() when any point times out. It is armed only for journaled
+  /// sweeps with a deadline — the combination where a timed-out point would
+  /// otherwise leave no evidence behind.
+  SweepObserver(const ObsArgs& args, const ResilienceArgs& res, std::vector<std::string> labels)
+      : args_(args), labels_(std::move(labels)), pool_(labels_.size(), args.sweep_telemetry()) {
     if (args.attribution()) {
-      ledgers_ = std::make_unique<obs::AttributionLedger[]>(points);
-      attr_labels_.assign(points, {});
+      ledgers_ = std::make_unique<obs::AttributionLedger[]>(labels_.size());
+    }
+    if (!res.journal_path.empty() && res.deadline_s > 0.0) {
+      flight_path_ = res.journal_path + ".flight.json";
+      flight_deadline_s_ = res.deadline_s;
+      flights_ = std::vector<obs::FlightRecorder>(labels_.size());
+      if (!pool_.enabled()) flight_spans_ = std::vector<obs::SpanRecorder>(labels_.size());
     }
   }
 
+  [[nodiscard]] std::size_t size() const { return labels_.size(); }
+  [[nodiscard]] const std::string& label(std::size_t index) const { return labels_[index]; }
   [[nodiscard]] bool enabled() const { return pool_.enabled(); }
   [[nodiscard]] obs::SpanRecorderPool& pool() { return pool_; }
 
@@ -71,56 +69,32 @@ class SweepObserver {
   /// per-point blame ledgers?
   [[nodiscard]] bool attribution_enabled() const { return ledgers_ != nullptr; }
 
-  /// Arms the deadline flight recorder (docs/OBSERVABILITY.md): one bounded
-  /// ring per point, filled by a span tee while the point runs, dumped to
-  /// `<journal>.flight.json` by dump_flight() when any point times out.
-  /// Armed only for journaled sweeps with a deadline — the combination
-  /// where a timed-out point would otherwise leave no evidence behind.
-  void arm_flight(const ResilienceArgs& res) {
-    if (res.journal_path.empty() || res.deadline_s <= 0.0) return;
-    flight_path_ = res.journal_path + ".flight.json";
-    flight_deadline_s_ = res.deadline_s;
-    flights_ = std::vector<obs::FlightRecorder>(pool_.size());
-    flight_labels_.resize(pool_.size());
-    if (!pool_.enabled()) flight_spans_ = std::vector<obs::SpanRecorder>(pool_.size());
-  }
-
   [[nodiscard]] bool flight_armed() const { return !flights_.empty(); }
   [[nodiscard]] const std::string& flight_path() const { return flight_path_; }
 
-  /// Claims point `index`'s recorder and wires it — plus the counter
-  /// sampling interval — into `params`. No-op when sweep telemetry is off
-  /// and no flight ring is armed (params keeps its null spans default, so
-  /// the claim path reads no clocks and the simulation does zero telemetry
-  /// work). With a flight ring armed but Perfetto export off, the point gets
-  /// a constant-memory flight-only recorder instead (events tee into the
-  /// ring and are not retained).
-  void instrument(std::size_t index, std::string label, sim::SimParams& params) {
-    if (ledgers_ != nullptr && index < pool_.size()) {
-      {
-        // The live /attribution handler reads labels concurrently, so writes
-        // go under a mutex (once per point — never on the simulated op path).
-        const std::lock_guard<std::mutex> lock(attr_mutex_);
-        attr_labels_[index] = label;
-      }
-      // Accumulate-only: a point retried after a chaos failure folds every
-      // attempt's ops into the same ledger, so chaos-run blame reports can
-      // count an op more than once. Deterministic runs record each op once.
+  /// Wires point `index`'s telemetry into `params` for one attempt: a fresh
+  /// span recorder plus the counter sampling interval, and the point's blame
+  /// ledger, emptied first so a retried point's rows describe its last
+  /// attempt only. Attaches nothing when sweep telemetry is off and no
+  /// flight ring is armed (params keeps its null defaults, so the
+  /// simulation does zero telemetry work). With a flight ring armed but
+  /// Perfetto export off, the point gets a constant-memory flight-only
+  /// recorder instead (events tee into the ring and are not retained).
+  void instrument(std::size_t index, sim::SimParams& params) {
+    if (ledgers_ != nullptr) {
+      ledgers_[index].reset();
       params.attribution = &ledgers_[index];
     }
-    if (flight_armed() && index < flight_labels_.size()) flight_labels_[index] = label;
-    obs::SpanRecorder* recorder = pool_.claim(index, std::move(label));
+    obs::SpanRecorder* recorder = pool_.claim(index, labels_[index]);
     if (recorder == nullptr) {
-      if (!flight_armed() || index >= flight_spans_.size()) return;
+      if (!flight_armed()) return;
       recorder = &flight_spans_[index];
       recorder->set_flight(&flights_[index], /*keep_events=*/false);
-    } else if (flight_armed() && index < flights_.size()) {
+    } else if (flight_armed()) {
       recorder->set_flight(&flights_[index]);
     }
     params.spans = recorder;
-    const double ms =
-        args_.counter_interval_ms > 0.0 ? args_.counter_interval_ms : kDefaultCounterIntervalMs;
-    params.counter_interval = Ticks::from_ms(ms);
+    params.counter_interval = Ticks::from_ms(args_.counter_interval_ms);
   }
 
   /// Writes `<journal>.flight.json` (atomically) when the flight ring is
@@ -145,9 +119,7 @@ class SweepObserver {
       if (outcomes[i].status != runner::PointStatus::kTimedOut) continue;
       if (!first) out << ",";
       first = false;
-      const std::string& label =
-          flight_labels_[i].empty() ? "point " + std::to_string(i) : flight_labels_[i];
-      out << "{\"point\":" << i << ",\"label\":\"" << obs::json_escape(label)
+      out << "{\"point\":" << i << ",\"label\":\"" << obs::json_escape(labels_[i])
           << "\",\"status\":\"" << runner::point_status_name(outcomes[i].status)
           << "\",\"attempts\":" << outcomes[i].attempts
           << ",\"backoff_ns\":" << outcomes[i].backoff_ns << ",\"error\":\""
@@ -164,11 +136,11 @@ class SweepObserver {
 
   /// Blame totals across every point's ledger, merged by row key. Safe to
   /// call mid-sweep (the ledgers are built for concurrent scrapes); the
-  /// result is a monotonic in-progress view, like /metrics counters.
+  /// result is an in-progress view, like /metrics counters.
   [[nodiscard]] obs::AttrSummary attribution_summary() const {
     obs::AttrSummary merged;
     if (ledgers_ == nullptr) return merged;
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
       obs::merge_attr_summary(merged, ledgers_[i].summarize());
     }
     return merged;
@@ -184,8 +156,8 @@ class SweepObserver {
   }
 
   /// Publishes the merged summary into `registry` under "sim.attr" (the
-  /// sim_attr_* Prometheus families). Wired into the runner's per-scrape
-  /// hook by apply_telemetry below.
+  /// sim_attr_* Prometheus families); Sweep wires it into the runner's
+  /// per-scrape hook.
   void publish_attribution(obs::MetricsRegistry& registry) const {
     if (ledgers_ == nullptr) return;
     const obs::AttrSummary merged = attribution_summary();
@@ -193,27 +165,21 @@ class SweepObserver {
   }
 
   /// Writes the per-point JSONL blame ledgers and prints the merged blame
-  /// report. finish() calls this on success; run_sweep() calls it before a
+  /// report. finish() calls this on success; Sweep calls it before a
   /// failure exit, so — like the flight dump — a sweep that dies of
   /// timeouts still leaves its attribution evidence behind. No-op unless
   /// --attribution was given.
   void write_attribution_artifact() const {
     if (ledgers_ == nullptr || args_.attribution_path.empty()) return;
     std::ostringstream out;
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      std::string label;
-      {
-        const std::lock_guard<std::mutex> lock(attr_mutex_);
-        label = attr_labels_[i];
-      }
-      if (label.empty()) label = "point " + std::to_string(i);
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
       // Journal-restored points never re-ran their simulation, so their
       // ledgers are empty; they still emit a zero total row so the file
       // always carries one "total" line per sweep point.
-      obs::write_attr_jsonl(out, ledgers_[i].summarize(), label);
+      obs::write_attr_jsonl(out, ledgers_[i].summarize(), labels_[i]);
     }
     util::write_file_atomic(args_.attribution_path, out.str());
-    std::printf("wrote attribution ledgers (%zu points) to %s\n", pool_.size(),
+    std::printf("wrote attribution ledgers (%zu points) to %s\n", labels_.size(),
                 args_.attribution_path.c_str());
     std::printf("\n%s", analysis::attribution_report(attribution_summary(),
                                                      args_.attr_top).c_str());
@@ -245,212 +211,22 @@ class SweepObserver {
 
  private:
   ObsArgs args_;
+  std::vector<std::string> labels_;  ///< one per point; immutable after construction
   obs::SpanRecorderPool pool_;
 
-  // Attribution state; null unless args.attribution(). One ledger per sweep
-  // point (heap array — each ledger is several KiB of cache-line-aligned
+  // One blame ledger per sweep point, or null unless args.attribution()
+  // (heap array — each ledger is several KiB of cache-line-aligned
   // atomics), sized once so workers and the live handler hold stable
-  // pointers. The ledgers themselves are scraped lock-free; only the label
-  // strings need the mutex.
+  // pointers. Scraped lock-free.
   std::unique_ptr<obs::AttributionLedger[]> ledgers_;
-  mutable std::mutex attr_mutex_;           ///< guards attr_labels_ contents
-  std::vector<std::string> attr_labels_;
 
-  // Flight-recorder state; all empty until arm_flight(). The vectors are
-  // sized once (never reallocated mid-sweep — workers hold pointers into
-  // them) and each slot is touched only by the worker running that point.
+  // Flight-recorder state; all empty unless armed. The vectors are sized
+  // once (never reallocated mid-sweep — workers hold pointers into them)
+  // and each slot is touched only by the worker running that point.
   std::string flight_path_;
   double flight_deadline_s_ = 0.0;
   std::vector<obs::FlightRecorder> flights_;
   std::vector<obs::SpanRecorder> flight_spans_;  ///< flight-only probes (Perfetto off)
-  std::vector<std::string> flight_labels_;
 };
-
-/// Single-point "--perfetto" support shared by the benches: re-runs one
-/// representative configuration with a span recorder (and counter sampling)
-/// attached, validates the recording, and writes the Chrome-trace file.
-/// `run` receives the instrumented params and must execute the simulation.
-/// Returns false on a consistency violation; no-op (true) when --perfetto
-/// was not given.
-template <typename RunFn>
-[[nodiscard]] bool write_point_trace(const ObsArgs& args, sim::SimParams params, RunFn&& run) {
-  if (args.perfetto_path.empty()) return true;
-  obs::SpanRecorder spans;
-  params.spans = &spans;
-  const double ms =
-      args.counter_interval_ms > 0.0 ? args.counter_interval_ms : kDefaultCounterIntervalMs;
-  params.counter_interval = Ticks::from_ms(ms);
-  run(static_cast<const sim::SimParams&>(params));
-  const std::string problem = obs::check_consistency(spans);
-  if (!problem.empty()) {
-    std::fprintf(stderr, "span consistency check failed: %s\n", problem.c_str());
-    return false;
-  }
-  spans.save(args.perfetto_path);
-  std::printf("\nwrote %zu span events to %s\n", spans.size(), args.perfetto_path.c_str());
-  return true;
-}
-
-/// Maps the ResilienceArgs CLI flags onto RunnerOptions. Flags left at their
-/// defaults change nothing, so absent flags keep the options bit-identical
-/// (and the runner on its legacy path).
-inline void apply_resilience(const ResilienceArgs& args, runner::RunnerOptions& options) {
-  if (!args.journal_path.empty()) options.journal_path = args.journal_path;
-  if (args.deadline_s > 0.0) {
-    options.point_deadline =
-        std::chrono::nanoseconds(static_cast<std::int64_t>(args.deadline_s * 1e9));
-  }
-  if (args.max_attempts > 0) options.max_attempts = args.max_attempts;
-  if (args.chaos_fail_rate > 0.0) options.chaos.fail_rate = args.chaos_fail_rate;
-  if (args.chaos_hang_rate > 0.0) options.chaos.hang_rate = args.chaos_hang_rate;
-  if (args.chaos_seed != 0) options.chaos.seed = args.chaos_seed;
-}
-
-/// Maps the ObsArgs live-plane flag onto RunnerOptions: "--listen" starts
-/// the runner's embedded /metrics + /status server, with `metrics` (usually
-/// the bench's accumulating registry) folded into every /metrics scrape.
-/// Absent flag changes nothing — the options stay bit-identical and no
-/// server thread exists.
-inline void apply_telemetry(const ObsArgs& args, runner::RunnerOptions& options,
-                            obs::MetricsRegistry* metrics = nullptr) {
-  if (args.listen_addr.empty()) return;
-  options.listen_addr = args.listen_addr;
-  options.metrics = metrics;
-}
-
-/// Sweep-observer-aware overload: additionally serves the observer's merged
-/// blame ledgers on the live plane — a /attribution JSON endpoint plus the
-/// sim_attr_* families folded into every /metrics scrape. The observer must
-/// outlive the runner built from these options (construct it first), since
-/// the server thread calls back into it on every scrape.
-inline void apply_telemetry(const ObsArgs& args, runner::RunnerOptions& options,
-                            obs::MetricsRegistry* metrics, SweepObserver& observer) {
-  apply_telemetry(args, options, metrics);
-  if (args.listen_addr.empty() || !observer.attribution_enabled()) return;
-  options.endpoints.push_back({"/attribution", "application/json",
-                               [&observer] { return observer.attribution_json(); }});
-  options.scrape_hook = [&observer](obs::MetricsRegistry& registry) {
-    observer.publish_attribution(registry);
-  };
-}
-
-/// Journal input-identity digest for a sweep point, from its human-readable
-/// label. The runner folds these into the sweep digest, so a journal written
-/// by one bench (or one point layout) is rejected by any other.
-[[nodiscard]] inline std::uint64_t label_digest(std::string_view label) {
-  util::Fnv1a digest;
-  digest.add_text(label);
-  return digest.value();
-}
-
-/// Journal codec for sweeps whose point function returns a bare double
-/// (utilization tables). Encoding uses hexfloat, so decode(encode(v)) == v
-/// bit for bit. `identity` labels point i for the input digest.
-class DoubleCodec {
- public:
-  explicit DoubleCodec(std::function<std::string(std::size_t)> identity)
-      : identity_(std::move(identity)) {}
-
-  [[nodiscard]] std::string encode(double v) const {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-  }
-  [[nodiscard]] double decode(std::string_view text) const {
-    return std::strtod(std::string(text).c_str(), nullptr);
-  }
-  [[nodiscard]] std::uint64_t digest(std::size_t point) const {
-    return label_digest(identity_(point));
-  }
-
- private:
-  std::function<std::string(std::size_t)> identity_;
-};
-
-/// Journal codec for sweeps that keep the whole SimResult per point, backed
-/// by the lossless sim::serialize_sim_result round trip.
-class SimResultCodec {
- public:
-  explicit SimResultCodec(std::function<std::string(std::size_t)> identity)
-      : identity_(std::move(identity)) {}
-
-  [[nodiscard]] std::string encode(const sim::SimResult& r) const {
-    return sim::serialize_sim_result(r);
-  }
-  [[nodiscard]] sim::SimResult decode(std::string_view text) const {
-    return sim::parse_sim_result(text);
-  }
-  [[nodiscard]] std::uint64_t digest(std::size_t point) const {
-    return label_digest(identity_(point));
-  }
-
- private:
-  std::function<std::string(std::size_t)> identity_;
-};
-
-/// Runs a sweep through the runner's journal-capable path and returns the
-/// values in submission order, like ExperimentRunner::run. When any
-/// resilience flag was given, prints a one-line outcome summary (attempts,
-/// retries, journal-restored points) after the sweep settles; with no flag
-/// the runner takes its legacy path and the printed output is byte-identical
-/// to pool.run. Failed points are reported to stderr (with their resilience
-/// status) and exit the bench with status 1 instead of throwing out of main.
-/// With an observer whose flight ring is armed, the flight dump is written
-/// before any failure exit — a sweep that dies of timeouts still leaves its
-/// evidence behind — and the same goes for the --attribution ledgers.
-template <typename Point, typename Fn, typename Codec>
-[[nodiscard]] auto run_sweep(runner::ExperimentRunner& pool, const ResilienceArgs& res,
-                             const std::vector<Point>& points, Fn&& fn, const Codec& codec,
-                             SweepObserver* obs = nullptr)
-    -> std::vector<runner::detail::point_value_t<Fn, Point>> {
-  if (obs != nullptr && obs->flight_armed()) pool.note_flight_armed(obs->flight_path());
-  auto settled = pool.run_settled(points, std::forward<Fn>(fn), codec);
-  if (obs != nullptr && obs->flight_armed()) {
-    std::vector<runner::PointOutcome> outcomes;
-    outcomes.reserve(settled.size());
-    for (const auto& point : settled) outcomes.push_back(point.outcome);
-    const std::string dump = obs->dump_flight(outcomes);
-    if (!dump.empty()) pool.note_flight_dump(dump);
-  }
-  if (res.any()) {
-    std::int64_t attempts = 0;
-    std::int64_t restored = 0;
-    std::int64_t failed = 0;
-    std::int64_t timed_out = 0;
-    for (const auto& point : settled) {
-      attempts += point.outcome.attempts;
-      restored += point.outcome.from_journal ? 1 : 0;
-      failed += point.outcome.status == runner::PointStatus::kFailed ? 1 : 0;
-      timed_out += point.outcome.status == runner::PointStatus::kTimedOut ? 1 : 0;
-    }
-    std::printf("resilience: %zu points, %lld attempts, %lld restored from journal, "
-                "%lld failed, %lld timed out\n",
-                settled.size(), static_cast<long long>(attempts),
-                static_cast<long long>(restored), static_cast<long long>(failed),
-                static_cast<long long>(timed_out));
-  }
-  bool ok = true;
-  for (std::size_t i = 0; i < settled.size(); ++i) {
-    if (settled[i].ok()) continue;
-    ok = false;
-    try {
-      std::rethrow_exception(settled[i].error);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sweep point %zu failed (%s, %d attempts): %s\n", i,
-                   runner::point_status_name(settled[i].outcome.status),
-                   settled[i].outcome.attempts, e.what());
-    }
-  }
-  if (!ok) {
-    // The failed sweep still leaves its blame ledgers behind — like the
-    // flight dump above, attribution matters most for the run that died.
-    if (obs != nullptr) obs->write_attribution_artifact();
-    std::exit(1);
-  }
-  std::vector<runner::detail::point_value_t<Fn, Point>> values;
-  values.reserve(settled.size());
-  for (auto& point : settled) values.push_back(std::move(*point.value));
-  return values;
-}
 
 }  // namespace craysim::bench

@@ -103,7 +103,7 @@ struct SweepOutput {
 };
 
 /// Runs (or resumes) the drill sweep against `journal`.
-SweepOutput run_sweep(const std::string& journal) {
+SweepOutput run_journaled_sweep(const std::string& journal) {
   runner::RunnerOptions options;
   options.threads = 2;
   options.journal_path = journal;
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
 
   if (child) {
     // The doomed run: sweep into the journal until the parent kills us.
-    (void)run_sweep(journal);
+    (void)run_journaled_sweep(journal);
     return 0;
   }
 
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   std::remove(reference_journal.c_str());
 
   std::printf("1. reference: running the %zu-point sweep uninterrupted...\n", kPoints);
-  const SweepOutput reference = run_sweep(reference_journal);
+  const SweepOutput reference = run_journaled_sweep(reference_journal);
   const std::string reference_bytes = slurp(reference_journal);
   std::printf("   digest 0x%016llx, journal %zu bytes\n",
               static_cast<unsigned long long>(digest_outputs(reference.encoded)),
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("3. resume: finishing the half-journaled sweep in-process...\n");
-  const SweepOutput resumed = run_sweep(journal);
+  const SweepOutput resumed = run_journaled_sweep(journal);
   std::printf("   %zu points restored from the journal, %zu re-executed\n", resumed.restored,
               kPoints - resumed.restored);
 

@@ -147,8 +147,10 @@ int main(int argc, char** argv) {
     params.counter_interval = Ticks::from_ms(100);
     params.attribution = &ledger;
     sim::Simulator simulator(params);
-    simulator.add_process("venus",
-                          std::make_unique<sim::TraceReplaySource>(std::move(parsed.trace)));
+    simulator.add_process(
+        "venus", std::make_unique<sim::StreamingReplaySource>(
+                     std::make_unique<trace::MemoryRecordSource>(
+                         std::make_shared<const trace::Trace>(std::move(parsed.trace)))));
     result = simulator.run();
   }
   result.publish_metrics(registry);

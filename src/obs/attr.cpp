@@ -164,6 +164,37 @@ void AttributionLedger::record_disk(AttrDiskKind kind, Bytes bytes,
   }
 }
 
+void AttributionLedger::reset() {
+  const auto zero = [](auto& counters) {
+    for (auto& counter : counters) counter.store(0, std::memory_order_relaxed);
+  };
+  const auto zero_cell = [&zero](Cell& cell) {
+    cell.key.store(0, std::memory_order_release);
+    cell.ops.store(0, std::memory_order_relaxed);
+    cell.write_ops.store(0, std::memory_order_relaxed);
+    cell.bytes.store(0, std::memory_order_relaxed);
+    cell.total.store(0, std::memory_order_relaxed);
+    zero(cell.comp);
+  };
+  zero_cell(total_);
+  for (Cell& cell : files_) zero_cell(cell);
+  zero_cell(files_overflow_);
+  for (Cell& cell : procs_) zero_cell(cell);
+  zero_cell(procs_overflow_);
+  for (Cell& cell : phases_) zero_cell(cell);
+  for (Cell& cell : sizes_) zero_cell(cell);
+  for (DiskCell& cell : disks_) {
+    cell.ops.store(0, std::memory_order_relaxed);
+    cell.bytes.store(0, std::memory_order_relaxed);
+    cell.total.store(0, std::memory_order_relaxed);
+    zero(cell.comp);
+  }
+  zero(latency_);
+  for (auto& hist : comp_hist_) zero(hist);
+  const std::lock_guard<std::mutex> lock(label_mutex_);
+  labels_.clear();
+}
+
 AttrSummary AttributionLedger::summarize() const {
   const auto snap = [](const Cell& cell, std::string key) {
     AttrEntry entry;

@@ -225,6 +225,12 @@ class AttributionLedger {
   /// Snapshot of everything recorded so far; safe while writers are active.
   [[nodiscard]] AttrSummary summarize() const;
 
+  /// Empties every row, histogram and process name, so the ledger describes
+  /// only what is recorded next (a retried sweep point's last attempt).
+  /// Writers must be idle; a concurrent summarize() may see a mix of old
+  /// and zeroed rows.
+  void reset();
+
   /// Total ops recorded (relaxed) — cheap liveness probe for tests/handlers.
   [[nodiscard]] std::int64_t ops() const {
     return total_.ops.load(std::memory_order_relaxed);

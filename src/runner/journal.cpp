@@ -156,13 +156,8 @@ const char* point_status_name(PointStatus status) {
   return "unknown";
 }
 
-SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::size_t point_count,
-                           std::size_t flush_every)
-    : path_(std::move(path)),
-      sweep_digest_(sweep_digest),
-      point_count_(point_count),
-      flush_every_(flush_every) {
-  if (flush_every_ == 0) throw ConfigError("journal flush batch must be >= 1");
+SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::size_t point_count)
+    : path_(std::move(path)), sweep_digest_(sweep_digest), point_count_(point_count) {
   std::ifstream in(path_);
   if (!in) return;  // fresh journal; first flush creates the file
 
@@ -227,7 +222,8 @@ void SweepJournal::append(Record record) {
       records_.begin(), records_.end(), record.index,
       [](const Record& r, std::size_t index) { return r.index < index; });
   records_.insert(at, std::move(record));
-  if (++unflushed_ >= flush_every_) flush_locked();
+  ++unflushed_;
+  flush_locked();
 }
 
 void SweepJournal::flush() {

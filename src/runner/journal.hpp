@@ -57,10 +57,8 @@ class SweepJournal {
   /// and its records exposed via records(). A digest or point-count mismatch
   /// (the file belongs to a different sweep), an out-of-range or duplicate
   /// index, or any malformed line throws Error — a journal is never silently
-  /// reinterpreted. `flush_every` batches durability: the file is rewritten
-  /// after every that-many appends (1 = every settled point).
-  SweepJournal(std::string path, std::uint64_t sweep_digest, std::size_t point_count,
-               std::size_t flush_every = 1);
+  /// reinterpreted.
+  SweepJournal(std::string path, std::uint64_t sweep_digest, std::size_t point_count);
 
   /// Best-effort final flush; errors are swallowed (use flush() for a
   /// checked one).
@@ -69,7 +67,7 @@ class SweepJournal {
   /// Records restored from the pre-existing file, sorted by index.
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
 
-  /// Appends one settled record and flushes if the batch filled. Thread-safe.
+  /// Appends one settled record and flushes the journal. Thread-safe.
   void append(Record record);
 
   /// Durably rewrites the journal (temp file + fsync + atomic rename).
@@ -82,7 +80,6 @@ class SweepJournal {
   std::string path_;
   std::uint64_t sweep_digest_ = 0;
   std::size_t point_count_ = 0;
-  std::size_t flush_every_ = 1;
   std::mutex mutex_;
   std::vector<Record> records_;  ///< kept sorted by index
   std::size_t unflushed_ = 0;

@@ -28,17 +28,17 @@ std::uint64_t mix_stream(std::uint64_t seed, std::size_t point, std::int32_t att
                  static_cast<std::uint64_t>(attempt));
 }
 
+/// Seed of the retry-backoff jitter stream.
+constexpr std::uint64_t kRetrySeed = 0x5EED5;
+
+/// How often an injected chaos hang polls its deadline token.
+constexpr std::chrono::microseconds kHangPoll{200};
+
 void validate_resilience(const RunnerOptions& options) {
   const RunnerFaultPlan& chaos = options.chaos;
   if (options.max_attempts < 1) throw ConfigError("runner: max_attempts must be >= 1");
-  if (options.journal_flush_every == 0) {
-    throw ConfigError("runner: journal_flush_every must be >= 1");
-  }
-  if (options.retry_jitter < 0.0 || options.retry_jitter >= 1.0) {
-    throw ConfigError("runner: retry_jitter must lie in [0, 1)");
-  }
   if (options.retry_backoff.count() < 0) throw ConfigError("runner: retry_backoff must be >= 0");
-  for (const double rate : {chaos.fail_rate, chaos.delay_rate, chaos.hang_rate}) {
+  for (const double rate : {chaos.fail_rate, chaos.hang_rate}) {
     if (rate < 0.0 || rate > 1.0) throw ConfigError("runner: chaos rates must lie in [0, 1]");
   }
   if (chaos.hang_rate > 0.0 && options.point_deadline.count() <= 0) {
@@ -53,12 +53,11 @@ void validate_resilience(const RunnerOptions& options) {
 std::chrono::nanoseconds retry_delay(const RunnerOptions& options, std::size_t point,
                                      std::int32_t attempt) {
   // attempt is 2-based: the delay slept before the second execution. Pure
-  // function of (retry_seed, point, attempt) — see the determinism contract.
+  // function of (point, attempt) — see the determinism contract.
   const double base = static_cast<double>(options.retry_backoff.count()) *
                       std::ldexp(1.0, std::max(0, attempt - 2));
-  Rng rng(mix_stream(options.retry_seed, point, attempt));
-  const double factor =
-      1.0 + options.retry_jitter * (2.0 * rng.next_double() - 1.0);
+  Rng rng(mix_stream(kRetrySeed, point, attempt));
+  const double factor = 1.0 + kRetryJitter * (2.0 * rng.next_double() - 1.0);
   return std::chrono::nanoseconds(static_cast<std::int64_t>(std::llround(base * factor)));
 }
 
@@ -231,12 +230,12 @@ void ExperimentRunner::inject_chaos(std::size_t index, std::int32_t attempt,
   const RunnerFaultPlan& plan = options_.chaos;
   if (!plan.enabled()) return;
   Rng rng(mix_stream(plan.seed, index, attempt));
-  // Fixed draw order (hang, fail, delay): one seed pins one schedule. Draws
-  // are gated on their rate being nonzero, mirroring faults::FaultInjector —
+  // Fixed draw order (hang, fail): one seed pins one schedule. Draws are
+  // gated on their rate being nonzero, mirroring faults::FaultInjector —
   // enabling a category shifts later draws, toggling a zero rate does not.
   if (plan.hang_rate > 0.0 && rng.chance(plan.hang_rate)) {
     res_chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
-    while (!token.cancelled()) std::this_thread::sleep_for(plan.hang_poll);
+    while (!token.cancelled()) std::this_thread::sleep_for(kHangPoll);
     throw CancelledError("chaos: injected hang (point " + std::to_string(index) + ", attempt " +
                          std::to_string(attempt) + ") cancelled by deadline");
   }
@@ -244,10 +243,6 @@ void ExperimentRunner::inject_chaos(std::size_t index, std::int32_t attempt,
     res_chaos_failures_.fetch_add(1, std::memory_order_relaxed);
     throw Error("chaos: injected failure (point " + std::to_string(index) + ", attempt " +
                 std::to_string(attempt) + ")");
-  }
-  if (plan.delay_rate > 0.0 && rng.chance(plan.delay_rate)) {
-    res_chaos_delays_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(plan.delay);
   }
 }
 
@@ -337,8 +332,7 @@ std::vector<PointOutcome> ExperimentRunner::run_resilient(std::size_t count,
       digests[i] = point_digest(i);
       sweep.add(digests[i]);
     }
-    journal = std::make_unique<SweepJournal>(options_.journal_path, sweep.value(), count,
-                                             options_.journal_flush_every);
+    journal = std::make_unique<SweepJournal>(options_.journal_path, sweep.value(), count);
     for (const SweepJournal::Record& record : journal->records()) {
       if (record.input_digest != digests[record.index]) {
         throw Error("journal: " + options_.journal_path + ": record for point " +
@@ -397,8 +391,9 @@ void ExperimentRunner::publish_metrics(obs::MetricsRegistry& registry,
   registry.gauge(p + ".queue_depth.max")
       .set(static_cast<double>(depth_max_.load(std::memory_order_relaxed)));
   // Resilience tallies appear only when a resilient run happened, keeping
-  // the legacy metric-name schema (pinned by obs_golden_test) unchanged.
-  if (resilient_used_.load(std::memory_order_relaxed)) {
+  // the non-resilient metric-name schema (pinned by obs_golden_test)
+  // unchanged.
+  if (resilient_run()) {
     registry.counter(p + ".attempts").add(res_attempts_.load(std::memory_order_relaxed));
     registry.counter(p + ".retries").add(res_retries_.load(std::memory_order_relaxed));
     registry.counter(p + ".timeouts").add(res_timeouts_.load(std::memory_order_relaxed));
@@ -410,8 +405,6 @@ void ExperimentRunner::publish_metrics(obs::MetricsRegistry& registry,
     if (options_.chaos.enabled()) {
       registry.counter(p + ".chaos.failures")
           .add(res_chaos_failures_.load(std::memory_order_relaxed));
-      registry.counter(p + ".chaos.delays")
-          .add(res_chaos_delays_.load(std::memory_order_relaxed));
       registry.counter(p + ".chaos.hangs")
           .add(res_chaos_hangs_.load(std::memory_order_relaxed));
     }
@@ -479,7 +472,7 @@ std::string ExperimentRunner::scrape_prometheus() const {
 std::string ExperimentRunner::status_json() const {
   std::ostringstream out;
   out << "{\"craysim_status\":1,\"threads\":" << thread_count() << ",\"resilient\":"
-      << (resilient_used_.load(std::memory_order_relaxed) ? "true" : "false") << ",";
+      << (resilient_run() ? "true" : "false") << ",";
   if (progress_) {
     progress_->write_json(out);
     out << ",";
@@ -506,14 +499,6 @@ std::string ExperimentRunner::status_json() const {
   }
   out << "}";
   return out.str();
-}
-
-SharedTrace share_trace(trace::Trace trace) {
-  return std::make_shared<const trace::Trace>(std::move(trace));
-}
-
-SharedTrace load_shared_trace(const std::string& path) {
-  return share_trace(trace::load_trace(path));
 }
 
 SharedTraceFile map_shared_trace(const std::string& path) {

@@ -8,18 +8,16 @@
 // pool only decides *when* each point executes — result i is always written
 // by the invocation fn(points[i]), into slot i. Sweep inputs that are shared
 // across points (a parsed trace, a parameter struct) must be shared
-// immutably; SharedTrace below is the intended vehicle for the expensive
-// case.
+// immutably; SharedTraceFile below is the intended vehicle for a trace.
 //
-// The contract extends to the resilience features (docs/RESILIENCE.md):
-// retry backoff and chaos decisions are pure functions of (seed, point
-// index, attempt number) — never of wall-clock time or thread interleaving —
-// so a sweep with retries or injected chaos still settles to the same
-// per-point outcomes at any thread count; and a journaled sweep resumed
-// after a crash produces results (and a final journal file) byte-identical
-// to an uninterrupted run. Default options (no journal, no deadline, no
-// chaos, max_attempts == 1) take the exact pre-resilience code path and are
-// bit-identical to it.
+// Every run_settled call runs one engine (docs/RESILIENCE.md); default
+// options are that engine with no journal, no deadline, one attempt and no
+// chaos. Retry backoff and chaos decisions are pure functions of (seed,
+// point index, attempt number) — never of wall-clock time or thread
+// interleaving — so a sweep with retries or injected chaos still settles to
+// the same per-point outcomes at any thread count; and a journaled sweep
+// resumed after a crash produces results (and a final journal file)
+// byte-identical to an uninterrupted run.
 //
 // Set CRAYSIM_RUNNER_THREADS=1 to force serial execution (byte-identical
 // output diffing); unset or 0 uses one thread per hardware core.
@@ -44,7 +42,6 @@
 #include "runner/journal.hpp"
 #include "runner/progress.hpp"
 #include "trace/mapped_file.hpp"
-#include "trace/stream.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
@@ -60,9 +57,9 @@ namespace craysim::runner {
 /// Injected misbehavior happens *around* the point function (before it
 /// runs), so the simulation under test is untouched — this exercises the
 /// runner's own retry/deadline/journal machinery. Decisions are drawn from
-/// Rng(seed ^ mix(point, attempt)) with a fixed draw order (hang, fail,
-/// delay), making every injected event reproducible per (point, attempt)
-/// regardless of thread count.
+/// Rng(seed ^ mix(point, attempt)) with a fixed draw order (hang, fail),
+/// making every injected event reproducible per (point, attempt) regardless
+/// of thread count.
 struct RunnerFaultPlan {
   std::uint64_t seed = 0xC4A05;
 
@@ -70,20 +67,12 @@ struct RunnerFaultPlan {
   /// point function runs.
   double fail_rate = 0.0;
 
-  /// Probability a (point, attempt) sleeps `delay` before running — models
-  /// stragglers without perturbing results.
-  double delay_rate = 0.0;
-  std::chrono::nanoseconds delay = std::chrono::milliseconds(2);
-
   /// Probability a (point, attempt) hangs until its deadline cancels it.
   /// Requires RunnerOptions::point_deadline > 0 (rejected otherwise — a
   /// hang with no deadline would wedge a worker forever).
   double hang_rate = 0.0;
-  std::chrono::nanoseconds hang_poll = std::chrono::microseconds(200);
 
-  [[nodiscard]] bool enabled() const {
-    return fail_rate > 0.0 || delay_rate > 0.0 || hang_rate > 0.0;
-  }
+  [[nodiscard]] bool enabled() const { return fail_rate > 0.0 || hang_rate > 0.0; }
 };
 
 struct RunnerOptions {
@@ -96,19 +85,16 @@ struct RunnerOptions {
   /// path is exactly the untelemetered one.
   bool collect_telemetry = false;
 
-  // --- Resilience (docs/RESILIENCE.md). All defaults off: a default-options
-  // runner takes the exact legacy code path, bit for bit. ---
+  // --- Resilience (docs/RESILIENCE.md). All defaults off: one attempt per
+  // point, no deadline, no journal, no chaos. ---
 
   /// Checkpoint/resume journal path. When set, run_settled (the codec
-  /// overload) appends every settled point to this file durably; rerunning
+  /// overload) flushes every settled point to this file durably; rerunning
   /// the same sweep against the same path skips already-settled points and
   /// reproduces the uninterrupted results byte-identically. Requires a
-  /// codec (ConfigError otherwise). Empty = no journaling.
+  /// codec (ConfigError otherwise). Empty = no journaling, and the codec
+  /// never encodes.
   std::string journal_path = {};
-
-  /// Journal durability batch: flush (temp + fsync + rename) after this
-  /// many settled points. 1 = every point.
-  std::size_t journal_flush_every = 1;
 
   /// Cooperative per-point deadline. Each attempt gets a fresh
   /// CancelToken with this budget; a point function that polls it (the
@@ -123,12 +109,6 @@ struct RunnerOptions {
 
   /// Base backoff before the first retry; doubles per subsequent retry.
   std::chrono::nanoseconds retry_backoff = std::chrono::milliseconds(10);
-
-  /// Multiplicative jitter applied to each backoff, in [0, 1): the slept
-  /// delay is base * uniform[1 - jitter, 1 + jitter], seeded per
-  /// (retry_seed, point, attempt).
-  double retry_jitter = 0.5;
-  std::uint64_t retry_seed = 0x5EED5;
 
   /// Synthetic failure injection for the runner itself (tests, drills).
   RunnerFaultPlan chaos = {};
@@ -165,9 +145,9 @@ struct RunnerOptions {
   /// `endpoints`. Null = runner (+`metrics`) families only.
   std::function<void(obs::MetricsRegistry&)> scrape_hook = {};
 
-  /// True when any resilience feature is engaged; false means run_settled
-  /// takes the legacy hot path with zero added cost. Deliberately excludes
-  /// listen_addr: serving scrapes never changes which execution path runs.
+  /// True when any resilience feature is engaged. It picks no code path;
+  /// it only keeps the runner.attempts/retries/... families off the metric
+  /// snapshots of runs that engaged none (the schema obs_golden_test pins).
   [[nodiscard]] bool resilient() const {
     return !journal_path.empty() || point_deadline.count() > 0 || max_attempts > 1 ||
            chaos.enabled();
@@ -177,21 +157,23 @@ struct RunnerOptions {
   [[nodiscard]] static RunnerOptions from_env();
 };
 
+/// Multiplicative jitter on every retry backoff: the slept delay is
+/// base * uniform[1 - kRetryJitter, 1 + kRetryJitter].
+inline constexpr double kRetryJitter = 0.5;
+
 /// The deterministic backoff slept before execution attempt `attempt`
 /// (2-based: the delay preceding the second execution is attempt == 2) of
 /// point `point`. Exponential doubling from RunnerOptions::retry_backoff
-/// with seeded multiplicative jitter — a pure function of (retry_seed,
-/// point, attempt), never of wall-clock or interleaving, so retried sweeps
-/// stay reproducible at any thread count. Exposed so tests can pin the
-/// schedule.
+/// with seeded multiplicative jitter — a pure function of (point, attempt),
+/// never of wall-clock or interleaving, so retried sweeps stay reproducible
+/// at any thread count. Exposed so tests can pin the schedule.
 [[nodiscard]] std::chrono::nanoseconds retry_delay(const RunnerOptions& options,
                                                    std::size_t point, std::int32_t attempt);
 
 /// The outcome of one sweep point: a value, or the exception it threw. One
 /// point failing never disturbs its siblings — they run and settle normally.
 /// `outcome` carries the resilience record (status, attempt count, journal
-/// provenance); for a default-options run it stays at its defaults except
-/// `status`.
+/// provenance, final error message).
 template <typename R>
 struct PointResult {
   std::optional<R> value;
@@ -279,18 +261,14 @@ class ExperimentRunner {
 
   /// Runs fn over every point; result i corresponds to points[i]. Exceptions
   /// are captured per point, never propagated. fn may be fn(point) or
-  /// fn(point, const util::CancelToken&). With resilient options this
-  /// overload supports deadlines, retry, and chaos — but not journaling
-  /// (that needs a codec; see the three-argument overload).
+  /// fn(point, const util::CancelToken&). This overload supports deadlines,
+  /// retry, and chaos — but not journaling (that needs a codec; see the
+  /// three-argument overload).
   template <typename Point, typename Fn>
   [[nodiscard]] auto run_settled(const std::vector<Point>& points, Fn&& fn)
       -> std::vector<PointResult<detail::point_value_t<Fn, Point>>> {
     using R = detail::point_value_t<Fn, Point>;
     std::vector<PointResult<R>> results(points.size());
-    if (!options_.resilient()) {
-      run_settled_legacy(points, fn, results);
-      return results;
-    }
     const std::vector<PointOutcome> outcomes = run_resilient(
         points.size(),
         [&](std::size_t i, const util::CancelToken& token) -> std::string {
@@ -316,15 +294,13 @@ class ExperimentRunner {
       -> std::vector<PointResult<detail::point_value_t<Fn, Point>>> {
     using R = detail::point_value_t<Fn, Point>;
     std::vector<PointResult<R>> results(points.size());
-    if (!options_.resilient()) {
-      run_settled_legacy(points, fn, results);
-      return results;
-    }
+    const bool journaled = !options_.journal_path.empty();
     const std::vector<PointOutcome> outcomes = run_resilient(
         points.size(),
         [&](std::size_t i, const util::CancelToken& token) -> std::string {
           run_one_into(results[i], fn, points[i], token);
-          return codec.encode(*results[i].value);
+          // Payloads only feed the journal: without one, nothing is encoded.
+          return journaled ? codec.encode(*results[i].value) : std::string();
         },
         [&](std::size_t i) { return codec.digest(points[i]); },
         [&](std::size_t i, const std::string& payload, const PointOutcome& outcome) {
@@ -397,6 +373,12 @@ class ExperimentRunner {
   [[nodiscard]] std::string scrape_prometheus() const;
   [[nodiscard]] std::string status_json() const;
 
+  /// True once a run with resilient() options happened: gates the
+  /// resilience metric families and the /status "resilient" flag.
+  [[nodiscard]] bool resilient_run() const {
+    return options_.resilient() && resilient_used_.load(std::memory_order_relaxed);
+  }
+
   /// One guarded invocation of the user's point function into slot
   /// `result`: captures the exception (for the caller to rethrow) and
   /// re-throws it so the engine can classify the attempt.
@@ -410,23 +392,6 @@ class ExperimentRunner {
       result.error = std::current_exception();
       throw;
     }
-  }
-
-  template <typename Point, typename Fn, typename R>
-  void run_settled_legacy(const std::vector<Point>& points, Fn& fn,
-                          std::vector<PointResult<R>>& results) {
-    progress_begin(points.size());
-    run_indexed(points.size(), [&](std::size_t i) {
-      progress_mark(i, SweepProgress::State::kRunning);
-      try {
-        results[i].value.emplace(detail::invoke_point(fn, points[i], util::CancelToken::none()));
-        progress_mark(i, SweepProgress::State::kDone);
-      } catch (...) {
-        results[i].error = std::current_exception();
-        results[i].outcome.status = PointStatus::kFailed;
-        progress_mark(i, SweepProgress::State::kFailed);
-      }
-    });
   }
 
   /// Copies engine outcomes into the typed results and synthesizes
@@ -491,19 +456,19 @@ class ExperimentRunner {
   std::atomic<std::int64_t> wall_ns_{0};
 
   // Resilience tallies (relaxed atomics: workers bump, publish_metrics
-  // reads, possibly concurrently from the server thread). Published only
-  // when a resilient run happened, so non-resilient metric snapshots keep
-  // their pinned schema.
+  // reads, possibly concurrently from the server thread). Every run bumps
+  // them, but they are published only when the options are resilient() too
+  // (resilient_run()), so non-resilient metric snapshots keep their pinned
+  // schema.
   std::atomic<std::int64_t> res_attempts_{0};
   std::atomic<std::int64_t> res_retries_{0};
   std::atomic<std::int64_t> res_timeouts_{0};
   std::atomic<std::int64_t> res_failures_{0};
   std::atomic<std::int64_t> res_backoff_ns_{0};
   std::atomic<std::int64_t> res_chaos_failures_{0};
-  std::atomic<std::int64_t> res_chaos_delays_{0};
   std::atomic<std::int64_t> res_chaos_hangs_{0};
   std::atomic<std::int64_t> res_restored_{0};
-  std::atomic<bool> resilient_used_{false};
+  std::atomic<bool> resilient_used_{false};  ///< set by every engine run
 
   // Live telemetry plane; both null when RunnerOptions::listen_addr was
   // empty. The server thread reads progress_/stats_/tallies concurrently
@@ -519,20 +484,13 @@ class ExperimentRunner {
   std::string flight_dump_;
 };
 
-/// An immutable parsed trace shared across sweep points — parse once, replay
-/// from every thread with no copies.
-using SharedTrace = std::shared_ptr<const trace::Trace>;
-
-[[nodiscard]] SharedTrace share_trace(trace::Trace trace);
-[[nodiscard]] SharedTrace load_shared_trace(const std::string& path);
-
 /// A read-only mmap of a trace file shared across sweep points: one set of
 /// page-cache pages feeds every worker (and every runner process — the
-/// kernel shares clean pages machine-wide), and each point can walk its own
-/// zero-copy reader over the mapping. load_shared_trace already parses via
-/// such a mapping; use this when points should *stream* the records instead
-/// of sharing one parsed vector. Throws craysim::Error for unmappable
-/// inputs (FIFO, size-0) — streaming sweeps need a real file.
+/// kernel shares clean pages machine-wide), and each point walks its own
+/// zero-copy reader over the mapping. A trace already in memory needs no
+/// wrapper: share it immutably (a const reference or a shared_ptr feeding a
+/// trace::MemoryRecordSource per point). Throws craysim::Error for
+/// unmappable inputs (FIFO, size-0) — streaming sweeps need a real file.
 using SharedTraceFile = std::shared_ptr<const trace::MappedFile>;
 
 [[nodiscard]] SharedTraceFile map_shared_trace(const std::string& path);

@@ -1,5 +1,5 @@
-// Request sources for simulated processes: trace replay and (via
-// workload::AppRequestGenerator) online synthetic generation.
+// Request sources for simulated processes: trace replay (here) and online
+// synthetic generation (workload::AppRequestGenerator).
 #pragma once
 
 #include <memory>
@@ -10,36 +10,15 @@
 
 namespace craysim::sim {
 
-/// Replays the application-behaviour half of a logical trace: compute gaps
-/// come from processTime, requests from (file, offset, length, flags).
-/// Machine response times recorded in the trace are ignored — the simulator
-/// recomputes them under its own configuration.
-class TraceReplaySource final : public workload::RequestSource {
- public:
-  /// Replays records of `process_id` from `trace` (pass 0 to accept every
-  /// record, for single-process traces).
-  TraceReplaySource(trace::Trace trace, std::uint32_t process_id = 0);
-
-  /// Zero-copy variant: replays a trace shared immutably across many
-  /// simulators — the parallel runner's fan-out parses once and every sweep
-  /// point replays the same records.
-  TraceReplaySource(std::shared_ptr<const trace::Trace> trace, std::uint32_t process_id = 0);
-
-  std::optional<workload::Request> next() override;
-
- private:
-  std::shared_ptr<const trace::Trace> trace_;
-  std::uint32_t process_id_;
-  std::size_t pos_ = 0;
-};
-
-/// Streaming variant of TraceReplaySource: pulls records on demand from any
-/// trace::RecordSource (text reader, framed binary stream, mmap-backed
-/// reader from trace::open_record_stream) instead of a materialized Trace,
-/// so peak memory during replay is independent of trace size. Record
-/// filtering and request mapping are shared with TraceReplaySource — fed the
-/// same records, the two produce identical request streams, and therefore
-/// identical SimResults.
+/// Replays the application-behaviour half of a logical trace, pulling
+/// records on demand from any trace::RecordSource: an in-memory trace
+/// (trace::MemoryRecordSource), or a text, framed binary, or mmap-backed
+/// reader from trace::open_record_stream, so peak memory during a streamed
+/// replay is independent of trace size. Compute gaps come from processTime,
+/// requests from (file, offset, length, flags). Machine response times
+/// recorded in the trace are ignored — the simulator recomputes them under
+/// its own configuration. Fed the same records, every source yields the
+/// same request stream, and therefore identical SimResults.
 class StreamingReplaySource final : public workload::RequestSource {
  public:
   /// Replays records of `process_id` (0 = all) pulled from `records`.

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "trace/codec.hpp"
@@ -22,7 +23,8 @@ namespace craysim::trace {
 using Trace = std::vector<TraceRecord>;
 
 /// A pull-based stream of trace records: the common next() interface of
-/// TraceReader, TraceTextReader, and BinaryTraceReader (binary_stream.hpp).
+/// TraceReader, TraceTextReader, BinaryTraceReader (binary_stream.hpp), and
+/// MemoryRecordSource.
 /// Consumers that only need one record at a time (sim::StreamingReplaySource,
 /// trace statistics over traces larger than RAM) take this instead of a
 /// materialized Trace.
@@ -32,6 +34,23 @@ class RecordSource {
 
   /// Next record, or nullopt at end of stream.
   [[nodiscard]] virtual std::optional<TraceRecord> next() = 0;
+};
+
+/// A RecordSource over an in-memory trace shared immutably: parse once, and
+/// every reader (one per sweep point, on any thread) walks its own cursor
+/// over the same records without copying the vector.
+class MemoryRecordSource final : public RecordSource {
+ public:
+  explicit MemoryRecordSource(std::shared_ptr<const Trace> trace) : trace_(std::move(trace)) {}
+
+  [[nodiscard]] std::optional<TraceRecord> next() override {
+    if (pos_ >= trace_->size()) return std::nullopt;
+    return (*trace_)[pos_++];
+  }
+
+ private:
+  std::shared_ptr<const Trace> trace_;
+  std::size_t pos_ = 0;
 };
 
 /// Writes records (and comments) to a text stream in the wire format.

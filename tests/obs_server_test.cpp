@@ -1,8 +1,8 @@
 // Live telemetry plane: Prometheus sanitizers and text exposition, the
 // embedded TelemetryServer, the runner's /metrics + /status endpoints, the
 // deadline flight recorder, and — the load-bearing case — concurrent
-// scraping while a multi-threaded chaos sweep is in flight (the test the
-// sanitizer CI matrix runs under ASan and TSan).
+// scraping while a multi-threaded bench::Sweep chaos sweep is in flight (the
+// test the sanitizer CI matrix runs under ASan and TSan).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -31,7 +30,7 @@
 #include "obs/span.hpp"
 #include "runner/runner.hpp"
 #include "sim/simulator.hpp"
-#include "sweep_obs.hpp"
+#include "sweep.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 
@@ -65,13 +64,6 @@ std::string temp_path(const std::string& name) {
 }
 
 bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 /// Raw one-shot HTTP exchange — lets the tests send methods and garbage
 /// that the http_get client helper deliberately cannot produce.
@@ -276,51 +268,57 @@ TEST(RunnerLivePlane, StatusAndMetricsReflectASettledSweep) {
   EXPECT_NE(metrics.body.find("app_requests 3\n"), std::string::npos);
 }
 
-/// Journal codec for index-keyed integer points (mirrors the resilience
-/// tests' codecs; decode(encode(v)) is exact).
-struct U64Codec {
-  [[nodiscard]] std::string encode(std::uint64_t v) const { return std::to_string(v); }
-  [[nodiscard]] std::uint64_t decode(std::string_view text) const {
-    return std::stoull(std::string(text));
+/// A mutable argv built from strings, as main() receives it (Sweep consumes
+/// its flags in place).
+class Argv {
+ public:
+  explicit Argv(std::vector<std::string> words) : words_(std::move(words)) {
+    for (std::string& word : words_) pointers_.push_back(word.data());
+    pointers_.push_back(nullptr);
+    argc = static_cast<int>(words_.size());
   }
-  [[nodiscard]] std::uint64_t digest(std::size_t point) const {
-    return 0x9E3779B97F4A7C15ull ^ point;
-  }
+  [[nodiscard]] char** argv() { return pointers_.data(); }
+
+  int argc = 0;
+
+ private:
+  std::vector<std::string> words_;
+  std::vector<char*> pointers_;
 };
 
 TEST(RunnerLivePlane, ConcurrentScrapesDuringChaosSweepStayClean) {
   // The sanitizer-matrix centerpiece: four workers retrying hang- and
   // fail-injected points under a deadline while a scraper hammers /metrics,
   // /status, and /attribution. Every point runs a real (tiny) simulation
-  // writing into the observer's attribution ledgers, so the scraper's
-  // snapshot reads race genuine ledger writes. Any unsynchronized tally
-  // read shows up under TSan here.
+  // writing into the sweep's attribution ledgers, so the scraper's snapshot
+  // reads race genuine ledger writes (and the per-attempt ledger resets).
+  // Any unsynchronized tally read shows up under TSan here.
   const std::string journal = temp_path("chaos.journal");
+  const std::string flight_path = journal + ".flight.json";
   std::remove(journal.c_str());
-  bench::ObsArgs obs_args;
-  obs_args.listen_addr = "127.0.0.1:0";
-  obs_args.attribution_path = temp_path("chaos_attr.jsonl");
-  bench::SweepObserver observer(obs_args, 24);
-  ASSERT_TRUE(observer.attribution_enabled());
-  runner::RunnerOptions options;
-  options.threads = 4;
-  options.journal_path = journal;
-  options.point_deadline = std::chrono::milliseconds(80);
-  options.max_attempts = 2;
-  options.retry_backoff = std::chrono::milliseconds(1);
-  options.chaos.fail_rate = 0.2;
-  options.chaos.hang_rate = 0.3;
-  options.chaos.seed = 0xC4A05;
-  bench::apply_telemetry(obs_args, options, nullptr, observer);
-  runner::ExperimentRunner pool(options);
+  std::remove(flight_path.c_str());
+  Argv args({"chaos_sweep", "--listen", "127.0.0.1:0", "--attribution",
+             temp_path("chaos_attr.jsonl"), "--journal", journal, "--deadline", "0.08",
+             "--max-attempts", "2", "--chaos-fail", "0.2", "--chaos-hang", "0.3",
+             "--chaos-seed", "0xC4A05"});
+  std::vector<std::string> labels;
+  for (int i = 0; i < 24; ++i) labels.push_back("chaos point " + std::to_string(i));
+  ASSERT_EQ(setenv("CRAYSIM_RUNNER_THREADS", "4", 1), 0);
+  bench::Sweep sweep(args.argc, args.argv(), labels);
+  ASSERT_EQ(unsetenv("CRAYSIM_RUNNER_THREADS"), 0);
+  ASSERT_TRUE(sweep.observer().attribution_enabled());
+  runner::ExperimentRunner& pool = sweep.runner();
+  ASSERT_EQ(pool.thread_count(), 4u);
   ASSERT_NE(pool.telemetry_server(), nullptr);
   const std::uint16_t port = pool.telemetry_server()->port();
 
-  // The plane is live from construction, before any sweep begins — and the
-  // flight recorder reports as unarmed until a journaled deadline sweep.
+  // The plane is live from construction, before any sweep begins, and
+  // already reports the journaled deadline sweep's armed flight recorder.
   const auto idle_status = obs::http_get("127.0.0.1", port, "/status");
   EXPECT_EQ(idle_status.status, 200);
-  EXPECT_NE(idle_status.body.find("\"flight\":{\"armed\":false"), std::string::npos);
+  EXPECT_NE(idle_status.body.find("\"flight\":{\"armed\":true,\"path\":\"" +
+                                  obs::json_escape(flight_path) + "\",\"dump_path\":\"\"}"),
+            std::string::npos);
   EXPECT_EQ(obs::http_get("127.0.0.1", port, "/metrics").status, 200);
 
   std::atomic<bool> done{false};
@@ -345,29 +343,26 @@ TEST(RunnerLivePlane, ConcurrentScrapesDuringChaosSweepStayClean) {
     }
   });
 
-  std::vector<std::size_t> points(24);
-  std::iota(points.begin(), points.end(), std::size_t{0});
-  const auto settled = pool.run_settled(
-      points,
-      [&](std::size_t i) -> std::uint64_t {
-        sim::SimParams params = sim::SimParams::paper_main_memory(Bytes{1} * kMB);
-        observer.instrument(i, "chaos point " + std::to_string(i), params);
+  const auto settled = sweep.run_settled(
+      [](std::size_t) { return sim::SimParams::paper_main_memory(Bytes{1} * kMB); },
+      [](std::size_t i, const sim::SimParams& params) {
         sim::Simulator simulator(params);
         simulator.add_process("tiny", std::make_unique<TinySource>());
         (void)simulator.run();
-        return i * i;
-      },
-      U64Codec{});
+        return static_cast<double>(i * i);
+      });
   done.store(true, std::memory_order_release);
   scraper.join();
 
   EXPECT_GE(scrapes.load(), 1);
   EXPECT_EQ(scrape_errors.load(), 0);
-  ASSERT_EQ(settled.size(), points.size());
+  ASSERT_EQ(settled.size(), labels.size());
+  std::size_t timed_out = 0;
   for (std::size_t i = 0; i < settled.size(); ++i) {
     if (settled[i].ok()) {
-      EXPECT_EQ(*settled[i].value, i * i);
+      EXPECT_EQ(*settled[i].value, static_cast<double>(i * i));
     }
+    if (settled[i].outcome.status == runner::PointStatus::kTimedOut) ++timed_out;
   }
 
   // After settling, the plane reports the whole sweep accounted for.
@@ -389,18 +384,12 @@ TEST(RunnerLivePlane, ConcurrentScrapesDuringChaosSweepStayClean) {
   EXPECT_NE(metrics.body.find("sim_attr_ops "), std::string::npos);
   EXPECT_NE(metrics.body.find("# TYPE sim_attr_io_time_s gauge\n"), std::string::npos);
 
-  // The sweep glue forwards flight-recorder arm/dump transitions to /status.
-  const std::string flight_path = journal + ".flight.json";
-  pool.note_flight_armed(flight_path);
-  const auto armed = obs::http_get("127.0.0.1", port, "/status");
-  EXPECT_NE(armed.body.find("\"flight\":{\"armed\":true,\"path\":\"" +
-                            obs::json_escape(flight_path) + "\",\"dump_path\":\"\"}"),
-            std::string::npos);
-  pool.note_flight_dump(flight_path);
-  const auto dumped = obs::http_get("127.0.0.1", port, "/status");
-  EXPECT_NE(dumped.body.find("\"dump_path\":\"" + obs::json_escape(flight_path) + "\""),
-            std::string::npos);
+  // Timed-out points left a flight dump, and /status points at it.
+  EXPECT_EQ(file_exists(flight_path), timed_out > 0);
+  const std::string dump_path = timed_out > 0 ? obs::json_escape(flight_path) : "";
+  EXPECT_NE(status.body.find("\"dump_path\":\"" + dump_path + "\"}"), std::string::npos);
   std::remove(journal.c_str());
+  std::remove(flight_path.c_str());
 }
 
 // --- Flight recorder ------------------------------------------------------
@@ -463,61 +452,6 @@ TEST(FlightRecorder, SpanRecorderTeeFeedsTheRing) {
   recorder.instant(1, 1, "after", Ticks::from_ms(6));
   EXPECT_EQ(recorder.events().size(), 1u);
   EXPECT_EQ(ring.size(), 4u);
-}
-
-// --- SweepObserver flight dump --------------------------------------------
-
-TEST(SweepObserverFlight, ArmsOnlyForJournaledDeadlineSweeps) {
-  const bench::ObsArgs obs_args;
-  bench::SweepObserver observer(obs_args, 3);
-  bench::ResilienceArgs res;
-  res.deadline_s = 1.0;  // deadline but no journal: nowhere to dump
-  observer.arm_flight(res);
-  EXPECT_FALSE(observer.flight_armed());
-  res.journal_path = temp_path("unarmed.journal");
-  res.deadline_s = 0.0;  // journal but no deadline: nothing can time out
-  observer.arm_flight(res);
-  EXPECT_FALSE(observer.flight_armed());
-}
-
-TEST(SweepObserverFlight, DumpsTimedOutPointsWithEventTails) {
-  const std::string journal = temp_path("flight.journal");
-  const std::string flight_file = journal + ".flight.json";
-  std::remove(flight_file.c_str());
-  const bench::ObsArgs obs_args;  // no Perfetto export: flight-only probes
-  bench::SweepObserver observer(obs_args, 3);
-  bench::ResilienceArgs res;
-  res.journal_path = journal;
-  res.deadline_s = 0.5;
-  observer.arm_flight(res);
-  ASSERT_TRUE(observer.flight_armed());
-
-  sim::SimParams params = sim::SimParams::paper_main_memory(Bytes{16} * kMB);
-  observer.instrument(1, "venus RA+WB", params);
-  ASSERT_NE(params.spans, nullptr);
-  params.spans->begin(1, 1, "disk.read", Ticks::from_ms(1));
-  params.spans->end(1, 1, "disk.read", Ticks::from_ms(4));
-
-  std::vector<runner::PointOutcome> outcomes(3);
-  // All-ok outcomes write nothing and report no dump path.
-  EXPECT_EQ(observer.dump_flight(outcomes), "");
-  EXPECT_FALSE(file_exists(flight_file));
-
-  outcomes[1].status = runner::PointStatus::kTimedOut;
-  outcomes[1].attempts = 2;
-  outcomes[1].error = "deadline exceeded";
-  EXPECT_EQ(observer.dump_flight(outcomes), flight_file);
-  ASSERT_TRUE(file_exists(flight_file));
-  const std::string dump = slurp(flight_file);
-  EXPECT_NE(dump.find("\"craysim_flight\":1"), std::string::npos);
-  EXPECT_NE(dump.find("\"deadline_s\":0.5"), std::string::npos);
-  EXPECT_NE(dump.find("\"point\":1"), std::string::npos);
-  EXPECT_NE(dump.find("\"label\":\"venus RA+WB\""), std::string::npos);
-  EXPECT_NE(dump.find("\"status\":\"timeout\""), std::string::npos);
-  EXPECT_NE(dump.find("\"attempts\":2"), std::string::npos);
-  EXPECT_NE(dump.find("\"name\":\"disk.read\""), std::string::npos);
-  EXPECT_EQ(dump.find("\"point\":0"), std::string::npos);  // settled fine, not dumped
-  std::remove(flight_file.c_str());
 }
 
 }  // namespace

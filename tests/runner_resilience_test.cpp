@@ -81,7 +81,6 @@ void check_resume_byte_identity(unsigned threads, const char* tag) {
   RunnerOptions options;
   options.threads = threads;
   options.journal_path = path;
-  options.journal_flush_every = 2;  // exercise batched durability too
 
   std::vector<std::uint64_t> reference;
   std::string reference_bytes;
@@ -218,8 +217,8 @@ TEST(RunnerResilienceTest, RetryFollowsThePinnedBackoffSchedule) {
       const double base =
           static_cast<double>(options.retry_backoff.count()) *
           static_cast<double>(1 << (attempt - 2));
-      EXPECT_GE(static_cast<double>(first.count()), base * (1.0 - options.retry_jitter) - 1.0);
-      EXPECT_LE(static_cast<double>(first.count()), base * (1.0 + options.retry_jitter) + 1.0);
+      EXPECT_GE(static_cast<double>(first.count()), base * (1.0 - kRetryJitter) - 1.0);
+      EXPECT_LE(static_cast<double>(first.count()), base * (1.0 + kRetryJitter) + 1.0);
     }
   }
 
@@ -338,17 +337,65 @@ TEST(RunnerResilienceTest, JournalingWithoutACodecIsRejected) {
   std::remove(options.journal_path.c_str());
 }
 
-TEST(RunnerResilienceTest, DefaultOptionsKeepTheLegacyPathAndSchema) {
+TEST(RunnerResilienceTest, CodecEncodesOnlyWhenAJournalIsOpen) {
+  struct CountingCodec {
+    std::atomic<int>* encodes;
+    [[nodiscard]] std::string encode(std::uint64_t v) const {
+      encodes->fetch_add(1, std::memory_order_relaxed);
+      return U64Codec{}.encode(v);
+    }
+    [[nodiscard]] std::uint64_t decode(std::string_view text) const {
+      return U64Codec{}.decode(text);
+    }
+    [[nodiscard]] std::uint64_t digest(std::size_t point) const {
+      return U64Codec{}.digest(point);
+    }
+  };
+  const std::vector<std::size_t> points = {0, 1, 2};
+  const auto fn = [](std::size_t i) { return point_value(i); };
+  std::atomic<int> encodes{0};
+  ExperimentRunner plain(RunnerOptions{.threads = 2});
+  EXPECT_EQ(plain.run(points, fn, CountingCodec{&encodes}).size(), points.size());
+  EXPECT_EQ(encodes.load(), 0);
+
+  const std::string path = temp_journal("encodes");
+  std::remove(path.c_str());
+  ExperimentRunner journaled(RunnerOptions{.threads = 2, .journal_path = path});
+  EXPECT_EQ(journaled.run(points, fn, CountingCodec{&encodes}).size(), points.size());
+  EXPECT_EQ(encodes.load(), 3);
+  std::remove(path.c_str());
+}
+
+TEST(RunnerResilienceTest, DefaultOptionsKeepResultsAndSchema) {
+  // Default options run the engine with one attempt, no deadline, no
+  // journal and no chaos: every point runs once, in place, with its value
+  // or its error; the metric snapshot keeps the non-resilient schema.
   ExperimentRunner pool(RunnerOptions{.threads = 2});
-  std::vector<int> points = {0, 1, 2};
-  const auto settled = pool.run_settled(points, [](int i) { return i * 2; });
-  for (const auto& result : settled) {
+  std::vector<int> points = {0, 1, 2, 3};
+  std::atomic<int> executed{0};
+  const auto settled = pool.run_settled(points, [&](int i) {
+    executed.fetch_add(1, std::memory_order_relaxed);
+    if (i == 3) throw std::runtime_error("point 3 is broken");
+    return i * 2;
+  });
+  EXPECT_EQ(executed.load(), 4);
+  for (int i = 0; i < 3; ++i) {
+    const auto& result = settled[static_cast<std::size_t>(i)];
     ASSERT_TRUE(result.ok());
+    EXPECT_EQ(*result.value, i * 2);
     EXPECT_EQ(result.outcome.status, PointStatus::kOk);
     EXPECT_EQ(result.outcome.attempts, 1);
     EXPECT_FALSE(result.outcome.from_journal);
     EXPECT_EQ(result.outcome.backoff_ns, 0);
+    EXPECT_TRUE(result.outcome.error.empty());
   }
+  // One failed point settles alone, with one attempt and its message.
+  EXPECT_FALSE(settled[3].ok());
+  EXPECT_EQ(settled[3].outcome.status, PointStatus::kFailed);
+  EXPECT_EQ(settled[3].outcome.attempts, 1);
+  EXPECT_EQ(settled[3].outcome.error, "point 3 is broken");
+  EXPECT_THROW(std::rethrow_exception(settled[3].error), std::runtime_error);
+
   // A runner that never engaged resilience publishes none of the resilience
   // metrics — the pinned non-resilient metric schema is unchanged.
   obs::MetricsRegistry registry;
@@ -356,7 +403,10 @@ TEST(RunnerResilienceTest, DefaultOptionsKeepTheLegacyPathAndSchema) {
   for (const auto& name : registry.metric_names()) {
     EXPECT_EQ(name.find("runner.attempts"), std::string::npos) << name;
     EXPECT_EQ(name.find("runner.retries"), std::string::npos) << name;
+    EXPECT_EQ(name.find("runner.timeouts"), std::string::npos) << name;
+    EXPECT_EQ(name.find("runner.failures"), std::string::npos) << name;
     EXPECT_EQ(name.find("runner.points_restored"), std::string::npos) << name;
+    EXPECT_EQ(name.find("runner.backoff"), std::string::npos) << name;
     EXPECT_EQ(name.find("runner.chaos"), std::string::npos) << name;
   }
 }

@@ -48,6 +48,14 @@ SimParams fast_params() {
   return p;
 }
 
+/// Replays a copy of `t` (records of `process_id`, 0 = all) from memory.
+std::unique_ptr<StreamingReplaySource> replay_of(const trace::Trace& t,
+                                                 std::uint32_t process_id = 0) {
+  return std::make_unique<StreamingReplaySource>(
+      std::make_unique<trace::MemoryRecordSource>(std::make_shared<const trace::Trace>(t)),
+      process_id);
+}
+
 TEST(Simulator, RequiresProcesses) {
   Simulator s(fast_params());
   EXPECT_THROW((void)s.run(), ConfigError);
@@ -240,7 +248,7 @@ TEST(Simulator, TraceReplayMatchesGeneratorBehaviour) {
   const auto trace = workload::synthesize_trace(profile);
 
   Simulator replay_sim(SimParams::paper_ssd(Bytes{64} * kMB));
-  replay_sim.add_process("replay", std::make_unique<TraceReplaySource>(trace));
+  replay_sim.add_process("replay", replay_of(trace));
   const auto replayed = replay_sim.run();
 
   EXPECT_EQ(replayed.processes[0].io_count, static_cast<std::int64_t>(trace.size()));
@@ -250,7 +258,7 @@ TEST(Simulator, TraceReplayMatchesGeneratorBehaviour) {
   EXPECT_NEAR(replayed.processes[0].cpu_time.seconds(), stats.cpu_time.seconds(), 1.0);
 }
 
-TEST(TraceReplaySource, FiltersByProcessId) {
+TEST(InMemoryReplay, FiltersByProcessId) {
   trace::Trace t;
   for (std::uint32_t pid : {1u, 2u, 1u}) {
     trace::TraceRecord r;
@@ -261,13 +269,13 @@ TEST(TraceReplaySource, FiltersByProcessId) {
     r.process_time = Ticks(10);
     t.push_back(r);
   }
-  TraceReplaySource source(t, 1);
+  auto source = replay_of(t, 1);
   int count = 0;
-  while (source.next()) ++count;
+  while (source->next()) ++count;
   EXPECT_EQ(count, 2);
 }
 
-TEST(TraceReplaySource, SkipsNonLogicalRecords) {
+TEST(InMemoryReplay, SkipsNonLogicalRecords) {
   trace::Trace t;
   trace::TraceRecord phys;
   phys.record_type = trace::make_record_type(false, false, false);
@@ -277,8 +285,8 @@ TEST(TraceReplaySource, SkipsNonLogicalRecords) {
   meta.record_type = trace::make_record_type(true, true, false, trace::DataClass::kMetaData);
   meta.length = 100;
   t.push_back(meta);
-  TraceReplaySource source(t);
-  EXPECT_FALSE(source.next().has_value());
+  auto source = replay_of(t);
+  EXPECT_FALSE(source->next().has_value());
 }
 
 }  // namespace

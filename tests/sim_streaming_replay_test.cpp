@@ -1,8 +1,8 @@
-// Streaming replay: a simulation fed records on demand (StreamingReplaySource
+// Streaming replay: a simulation fed records from a file (StreamingReplaySource
 // over open_record_stream) must be bit-identical — the full serialized
-// SimResult — to one fed the materialized Trace, for text and binary inputs,
-// mmap and bounded-stream paths, and across runner sweep points sharing one
-// mapping.
+// SimResult — to one fed the materialized Trace from memory
+// (MemoryRecordSource), for text and binary inputs, mmap and bounded-stream
+// paths, and across runner sweep points sharing one mapping.
 #include "sim/process.hpp"
 
 #include <gtest/gtest.h>
@@ -33,6 +33,14 @@ const trace::Trace& venus() {
   return t;
 }
 
+/// Replays records of `process_id` (0 = all) from an in-memory copy of `t`.
+std::unique_ptr<StreamingReplaySource> from_memory(const trace::Trace& t,
+                                                   std::uint32_t process_id = 0) {
+  return std::make_unique<StreamingReplaySource>(
+      std::make_unique<trace::MemoryRecordSource>(std::make_shared<const trace::Trace>(t)),
+      process_id);
+}
+
 std::string run_replay(std::unique_ptr<workload::RequestSource> source) {
   Simulator s(SimParams::paper_ssd(Bytes{64} * kMB));
   s.add_process("replay", std::move(source));
@@ -42,10 +50,10 @@ std::string run_replay(std::unique_ptr<workload::RequestSource> source) {
 TEST(StreamingReplay, RequestStreamMatchesVectorReplay) {
   const std::string path = temp_path("craysim_streaming_requests.bin");
   trace::save_trace_binary(venus(), path);
-  TraceReplaySource whole(venus());
+  const auto whole = from_memory(venus());
   StreamingReplaySource streamed(trace::open_record_stream(path));
   while (true) {
-    const auto a = whole.next();
+    const auto a = whole->next();
     const auto b = streamed.next();
     ASSERT_EQ(a.has_value(), b.has_value());
     if (!a) break;
@@ -63,7 +71,7 @@ TEST(StreamingReplay, RequestStreamMatchesVectorReplay) {
 TEST(StreamingReplay, BinaryStreamReplayIsBitIdenticalToWholeTrace) {
   const std::string path = temp_path("craysim_streaming_replay.bin");
   trace::save_trace_binary(venus(), path);
-  const std::string whole = run_replay(std::make_unique<TraceReplaySource>(venus()));
+  const std::string whole = run_replay(from_memory(venus()));
 
   for (const bool prefer_mmap : {true, false}) {
     trace::StreamOptions options;
@@ -78,7 +86,7 @@ TEST(StreamingReplay, BinaryStreamReplayIsBitIdenticalToWholeTrace) {
 TEST(StreamingReplay, TextStreamReplayIsBitIdenticalToWholeTrace) {
   const std::string path = temp_path("craysim_streaming_replay.trace");
   trace::save_trace(venus(), path, "streaming replay");
-  const std::string whole = run_replay(std::make_unique<TraceReplaySource>(venus()));
+  const std::string whole = run_replay(from_memory(venus()));
   for (const bool prefer_mmap : {true, false}) {
     trace::StreamOptions options;
     options.prefer_mmap = prefer_mmap;
@@ -109,10 +117,10 @@ TEST(StreamingReplay, FiltersByProcessIdLikeVectorReplay) {
   const std::string path = temp_path("craysim_streaming_filter.bin");
   trace::save_trace_binary(t, path);
 
-  TraceReplaySource whole(t, 2);
+  const auto whole = from_memory(t, 2);
   StreamingReplaySource streamed(trace::open_record_stream(path), 2);
   while (true) {
-    const auto a = whole.next();
+    const auto a = whole->next();
     const auto b = streamed.next();
     ASSERT_EQ(a.has_value(), b.has_value());
     if (!a) break;
@@ -127,7 +135,7 @@ TEST(StreamingReplay, SweepPointsShareOneMappingAndAgree) {
   // the whole-trace result.
   const std::string path = temp_path("craysim_streaming_sweep.bin");
   trace::save_trace_binary(venus(), path);
-  const std::string whole = run_replay(std::make_unique<TraceReplaySource>(venus()));
+  const std::string whole = run_replay(from_memory(venus()));
 
   const runner::SharedTraceFile mapped = runner::map_shared_trace(path);
   runner::ExperimentRunner pool;
