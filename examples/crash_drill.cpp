@@ -128,8 +128,10 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
-/// Settled records currently visible in the journal (0 when absent). Every
-/// flush is an atomic rename, so this always reads a consistent snapshot.
+/// Settled records currently visible in the journal (0 when absent): its
+/// complete lines after the header. Each record is one newline-terminated
+/// line, canonical or framed, and a frame's newline is its last byte, so a
+/// frame still being appended is not counted.
 std::size_t journal_records(const std::string& path) {
   const std::string text = slurp(path);
   if (text.empty()) return 0;

@@ -1,8 +1,14 @@
 #include "runner/journal.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string_view>
@@ -24,29 +30,97 @@ std::string hex_u64(std::uint64_t value) {
 
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
-  for (const char c : text) {
+  std::size_t run = 0;  // start of the bytes not yet copied to `out`
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(text, run, text.size() - run);
   out += '"';
 }
 
 [[noreturn]] void bad_journal(const std::string& path, std::size_t lineno,
                               const std::string& why) {
   throw Error("journal: " + path + ":" + std::to_string(lineno) + ": " + why);
+}
+
+[[noreturn]] void io_failure(const std::string& path, const char* op, int err) {
+  throw Error("journal: " + path + ": " + op + " failed: " + std::strerror(err));
+}
+
+void write_all(int fd, std::string_view data, const std::string& path) {
+  while (!data.empty()) {
+    const ::ssize_t wrote = ::write(fd, data.data(), data.size());
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      io_failure(path, "write", errno);
+    }
+    data.remove_prefix(static_cast<std::size_t>(wrote));
+  }
+}
+
+/// Every canonical record line starts with this. A frame cannot, even with
+/// its marker damaged: its CRC digits follow the marker.
+constexpr std::string_view kRecordPrefix = "{\"index\":";
+constexpr char kFrameMarker = '#';
+constexpr std::size_t kCrcDigits = 8;
+/// Bytes of a record line besides its payload or error text (keys, index,
+/// digest, counts), with room for escapes: sizes compaction's buffer.
+constexpr std::size_t kRecordOverhead = 160;
+
+/// CRC-32 with zlib's polynomial (reflected 0xEDB88320), so tools can check
+/// a frame with zlib.crc32.
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    std::uint32_t c = n;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[n] = c;
+  }
+  return table;
+}
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+
+std::uint32_t crc32(std::string_view bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char b : bytes) c = kCrcTable[(c ^ static_cast<unsigned char>(b)) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// Writes `value` as 8 lowercase hex digits at `out`.
+void put_hex32(char* out, std::uint32_t value) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  for (std::size_t i = kCrcDigits; i-- > 0; value >>= 4) out[i] = kDigits[value & 0xFu];
+}
+
+/// The record line inside `line` when it is a frame whose CRC matches.
+std::optional<std::string_view> frame_record(std::string_view line) {
+  if (line.size() <= 1 + kCrcDigits || line[0] != kFrameMarker) return std::nullopt;
+  std::uint32_t crc = 0;
+  for (std::size_t i = 1; i <= kCrcDigits; ++i) {
+    const char c = line[i];
+    crc <<= 4;
+    if (c >= '0' && c <= '9') crc |= static_cast<std::uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f') crc |= static_cast<std::uint32_t>(c - 'a' + 10);
+    else return std::nullopt;
+  }
+  const std::string_view record = line.substr(1 + kCrcDigits);
+  if (crc32(record) != crc) return std::nullopt;
+  return record;
 }
 
 /// Minimal scanner over one journal line. The journal only ever contains
@@ -145,6 +219,50 @@ class LineScanner {
   std::size_t lineno_;
 };
 
+std::string header_line(std::uint64_t sweep_digest, std::size_t point_count) {
+  return "{\"craysim_journal\":1,\"sweep_digest\":\"" + hex_u64(sweep_digest) +
+         "\",\"points\":" + std::to_string(point_count) + "}";
+}
+
+/// Appends `record` as one JSON line, without the newline.
+void append_record_line(std::string& out, const SweepJournal::Record& record) {
+  out += "{\"index\":" + std::to_string(record.index) + ",\"digest\":\"" +
+         hex_u64(record.input_digest) + "\",\"status\":\"" +
+         point_status_name(record.outcome.status) +
+         "\",\"attempts\":" + std::to_string(record.outcome.attempts) +
+         ",\"backoff_ns\":" + std::to_string(record.outcome.backoff_ns);
+  if (record.outcome.status == PointStatus::kOk) {
+    out += ",\"result\":";
+    append_json_string(out, record.payload);
+  } else {
+    out += ",\"error\":";
+    append_json_string(out, record.outcome.error);
+  }
+  out += '}';
+}
+
+SweepJournal::Record parse_record(std::string_view line, const std::string& path,
+                                  std::size_t lineno, std::size_t point_count) {
+  const LineScanner scan(line, path, lineno);
+  SweepJournal::Record record;
+  record.index = static_cast<std::size_t>(scan.number("index"));
+  if (record.index >= point_count) bad_journal(path, lineno, "point index out of range");
+  record.input_digest = scan.hex("digest");
+  const std::string status = scan.string("status");
+  if (status == "ok") record.outcome.status = PointStatus::kOk;
+  else if (status == "failed") record.outcome.status = PointStatus::kFailed;
+  else if (status == "timeout") record.outcome.status = PointStatus::kTimedOut;
+  else bad_journal(path, lineno, "unknown status '" + status + "'");
+  record.outcome.attempts = static_cast<std::int32_t>(scan.number("attempts"));
+  record.outcome.backoff_ns = static_cast<std::int64_t>(scan.number("backoff_ns"));
+  if (record.outcome.status == PointStatus::kOk) {
+    record.payload = scan.string("result");
+  } else {
+    record.outcome.error = scan.string("error");
+  }
+  return record;
+}
+
 }  // namespace
 
 const char* point_status_name(PointStatus status) {
@@ -158,19 +276,36 @@ const char* point_status_name(PointStatus status) {
 
 SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::size_t point_count)
     : path_(std::move(path)), sweep_digest_(sweep_digest), point_count_(point_count) {
-  std::ifstream in(path_);
-  if (!in) return;  // fresh journal; first flush creates the file
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  if (!in) return;  // fresh journal; the first append creates the file
+  const std::streamoff size = in.tellg();
+  std::string text(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  in.seekg(0);
+  if (size < 0 || !in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
+    throw Error("journal: " + path_ + ": read failed");
+  }
 
-  std::string line;
-  std::size_t lineno = 0;
+  const std::string header = header_line(sweep_digest_, point_count_);
+  std::string rendered;  // scratch: a restored record as compaction writes it
   std::vector<bool> seen(point_count_, false);
-  bool have_header = false;
-  while (std::getline(in, line)) {
+  bool canonical = true;
+  bool in_log = false;
+  std::size_t lineno = 0;
+  std::size_t begin = 0;
+  for (std::size_t end = text.find('\n'); end != std::string::npos;
+       begin = end + 1, end = text.find('\n', begin)) {
     ++lineno;
-    const std::string_view text = trim(line);
-    if (text.empty()) continue;
-    LineScanner scan(text, path_, lineno);
-    if (!have_header) {
+    const std::string_view line(text.data() + begin, end - begin);
+    const std::string_view trimmed = trim(line);
+    if (trimmed.empty()) {
+      // Skipped, as the parser always has; but the writer never emits a
+      // blank line, so after the header it counts as damage.
+      if (has_header_) ++corrupt_;
+      canonical = false;
+      continue;
+    }
+    if (!has_header_) {
+      LineScanner scan(trimmed, path_, lineno);
       if (scan.number("craysim_journal") != 1) {
         bad_journal(path_, lineno, "unsupported journal version");
       }
@@ -179,83 +314,145 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
         throw Error("journal: " + path_ + " belongs to a different sweep (digest/point-count " +
                     "mismatch); refusing to resume — delete it or pass a fresh path");
       }
-      have_header = true;
+      has_header_ = true;
+      canonical = canonical && line == header;
       continue;
     }
     Record record;
-    record.index = static_cast<std::size_t>(scan.number("index"));
-    if (record.index >= point_count_) bad_journal(path_, lineno, "point index out of range");
+    if (!in_log && starts_with(trimmed, kRecordPrefix)) {
+      record = parse_record(trimmed, path_, lineno, point_count_);
+      if (canonical) {
+        rendered.clear();
+        append_record_line(rendered, record);
+        canonical = line == rendered && (records_.empty() || records_.back().index < record.index);
+      }
+    } else {
+      in_log = true;
+      canonical = false;
+      const std::optional<std::string_view> framed = frame_record(line);
+      if (!framed) {
+        ++corrupt_;
+        continue;
+      }
+      record = parse_record(*framed, path_, lineno, point_count_);
+    }
     if (seen[record.index]) bad_journal(path_, lineno, "duplicate point index");
     seen[record.index] = true;
-    record.input_digest = scan.hex("digest");
-    const std::string status = scan.string("status");
-    if (status == "ok") record.outcome.status = PointStatus::kOk;
-    else if (status == "failed") record.outcome.status = PointStatus::kFailed;
-    else if (status == "timeout") record.outcome.status = PointStatus::kTimedOut;
-    else bad_journal(path_, lineno, "unknown status '" + status + "'");
-    record.outcome.attempts = static_cast<std::int32_t>(scan.number("attempts"));
-    record.outcome.backoff_ns = static_cast<std::int64_t>(scan.number("backoff_ns"));
-    if (record.outcome.status == PointStatus::kOk) {
-      record.payload = scan.string("result");
-    } else {
-      record.outcome.error = scan.string("error");
-    }
     records_.push_back(std::move(record));
   }
-  if (!have_header && lineno > 0) bad_journal(path_, 1, "missing journal header");
+  if (!has_header_ && lineno > 0) bad_journal(path_, 1, "missing journal header");
+  valid_size_ = begin;
+  torn_tail_ = begin < text.size();
+  canonical_ = has_header_ && canonical && !torn_tail_;
   std::sort(records_.begin(), records_.end(),
             [](const Record& a, const Record& b) { return a.index < b.index; });
 }
 
 SweepJournal::~SweepJournal() {
-  try {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+SweepJournal::Cost SweepJournal::open_for_append_locked() {
+  Cost cost;
+  if (fd_ >= 0) return cost;
+  if (!has_header_) {
+    // Nothing usable on disk (no file, or a torn header): start the file.
+    const std::string header = header_line(sweep_digest_, point_count_) + '\n';
+    util::write_file_atomic(path_, header, /*sync=*/true);
+    cost = {static_cast<std::int64_t>(header.size()), 1};
+    has_header_ = true;
+    valid_size_ = header.size();
+    torn_tail_ = false;
+  }
+  const int fd = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) io_failure(path_, "open", errno);
+  // A frame appended after a torn tail would share its line and fail its
+  // CRC, so the tail goes first.
+  if (torn_tail_ && ::ftruncate(fd, static_cast<off_t>(valid_size_)) != 0) {
+    const int err = errno;
+    ::close(fd);
+    io_failure(path_, "truncate", err);
+  }
+  torn_tail_ = false;
+  fd_ = fd;
+  return cost;
+}
+
+SweepJournal::Cost SweepJournal::append(Record record) {
+  // Render outside the lock: escaping the payload is the costly part.
+  std::string frame(1 + kCrcDigits, kFrameMarker);
+  append_record_line(frame, record);
+  put_hex32(frame.data() + 1, crc32(std::string_view(frame).substr(1 + kCrcDigits)));
+  frame += '\n';
+
+  Cost cost;
+  std::uint64_t ticket = 0;
+  int fd = -1;
+  {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (unflushed_ > 0) flush_locked();
-  } catch (...) {
-    // Destructor: swallow; callers that need durability call flush().
-  }
-}
-
-void SweepJournal::append(Record record) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto at = std::lower_bound(
-      records_.begin(), records_.end(), record.index,
-      [](const Record& r, std::size_t index) { return r.index < index; });
-  records_.insert(at, std::move(record));
-  ++unflushed_;
-  flush_locked();
-}
-
-void SweepJournal::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  flush_locked();
-}
-
-void SweepJournal::flush_locked() {
-  util::write_file_atomic(path_, render_locked(), /*sync=*/true);
-  unflushed_ = 0;
-}
-
-std::string SweepJournal::render_locked() const {
-  std::string out;
-  out += "{\"craysim_journal\":1,\"sweep_digest\":\"" + hex_u64(sweep_digest_) +
-         "\",\"points\":" + std::to_string(point_count_) + "}\n";
-  for (const Record& record : records_) {
-    out += "{\"index\":" + std::to_string(record.index) + ",\"digest\":\"" +
-           hex_u64(record.input_digest) + "\",\"status\":\"" +
-           point_status_name(record.outcome.status) +
-           "\",\"attempts\":" + std::to_string(record.outcome.attempts) +
-           ",\"backoff_ns\":" + std::to_string(record.outcome.backoff_ns);
-    if (record.outcome.status == PointStatus::kOk) {
-      out += ",\"result\":";
-      append_json_string(out, record.payload);
-    } else {
-      out += ",\"error\":";
-      append_json_string(out, record.outcome.error);
+    if (failed_) {
+      throw Error("journal: " + path_ + ": an earlier write failed; no more records accepted");
     }
-    out += "}\n";
+    try {
+      cost = open_for_append_locked();
+      write_all(fd_, frame, path_);
+    } catch (...) {
+      failed_ = true;
+      throw;
+    }
+    cost.bytes += static_cast<std::int64_t>(frame.size());
+    ticket = ++written_;
+    fd = fd_;
+    canonical_ = false;
+    const auto at = std::lower_bound(
+        records_.begin(), records_.end(), record.index,
+        [](const Record& r, std::size_t index) { return r.index < index; });
+    records_.insert(at, std::move(record));
   }
-  return out;
+  // Group commit: one fdatasync covers every frame written before it
+  // starts, so appends that queued behind it return without a sync of
+  // their own.
+  const std::lock_guard<std::mutex> lock(sync_mutex_);
+  if (synced_ >= ticket) return cost;
+  std::uint64_t covered = 0;
+  {
+    const std::lock_guard<std::mutex> state(mutex_);
+    covered = written_;
+  }
+  if (::fdatasync(fd) != 0) {
+    const int err = errno;
+    const std::lock_guard<std::mutex> state(mutex_);
+    failed_ = true;
+    io_failure(path_, "fdatasync", err);
+  }
+  synced_ = covered;
+  ++cost.syncs;
+  return cost;
+}
+
+SweepJournal::Cost SweepJournal::compact() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (canonical_) return {};
+  std::string text = header_line(sweep_digest_, point_count_) + '\n';
+  std::size_t estimate = text.size();
+  for (const Record& record : records_) {
+    estimate += kRecordOverhead + record.payload.size() + record.outcome.error.size();
+  }
+  text.reserve(estimate);
+  for (const Record& record : records_) {
+    append_record_line(text, record);
+    text += '\n';
+  }
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  util::write_file_atomic(path_, text, /*sync=*/true);
+  has_header_ = true;
+  canonical_ = true;
+  valid_size_ = text.size();
+  torn_tail_ = false;
+  return {static_cast<std::int64_t>(text.size()), 1};
 }
 
 }  // namespace craysim::runner

@@ -247,9 +247,8 @@ void ExperimentRunner::inject_chaos(std::size_t index, std::int32_t attempt,
 }
 
 PointOutcome ExperimentRunner::execute_point(std::size_t index, const ResilientBody& body,
-                                             SweepJournal* journal, std::uint64_t digest) {
+                                             std::string& payload) {
   PointOutcome outcome;
-  std::string payload;
   const std::int32_t max_attempts = options_.max_attempts;
   for (std::int32_t attempt = 1;; ++attempt) {
     outcome.attempts = attempt;
@@ -297,14 +296,6 @@ PointOutcome ExperimentRunner::execute_point(std::size_t index, const ResilientB
                                                                   : SweepProgress::State::kFailed);
   if (outcome.status != PointStatus::kOk) res_failures_.fetch_add(1, std::memory_order_relaxed);
   res_backoff_ns_.fetch_add(outcome.backoff_ns, std::memory_order_relaxed);
-  if (journal != nullptr) {
-    SweepJournal::Record record;
-    record.index = index;
-    record.input_digest = digest;
-    record.outcome = outcome;
-    if (outcome.status == PointStatus::kOk) record.payload = std::move(payload);
-    journal->append(std::move(record));
-  }
   return outcome;
 }
 
@@ -333,6 +324,7 @@ std::vector<PointOutcome> ExperimentRunner::run_resilient(std::size_t count,
       sweep.add(digests[i]);
     }
     journal = std::make_unique<SweepJournal>(options_.journal_path, sweep.value(), count);
+    res_journal_corrupt_.fetch_add(journal->corrupt_records(), std::memory_order_relaxed);
     for (const SweepJournal::Record& record : journal->records()) {
       if (record.input_digest != digests[record.index]) {
         throw Error("journal: " + options_.journal_path + ": record for point " +
@@ -351,12 +343,34 @@ std::vector<PointOutcome> ExperimentRunner::run_resilient(std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     if (!done[i]) todo.push_back(i);
   }
+  // A journal append that fails ends the sweep: the first error is kept, the
+  // batch drains without starting more points, and it is rethrown here, on
+  // the calling thread, with the journal left uncompacted.
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  std::atomic<bool> failed{false};
   run_indexed(todo.size(), [&](std::size_t j) {
+    if (failed.load(std::memory_order_relaxed)) return;
     const std::size_t i = todo[j];
-    outcomes[i] = execute_point(i, body, journal.get(), journal ? digests[i] : 0);
+    std::string payload;
+    outcomes[i] = execute_point(i, body, payload);
+    if (!journal) return;
+    try {
+      note_journal_cost(journal->append({i, digests[i], outcomes[i], std::move(payload)}));
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mutex);
+      if (!failure) failure = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
   });
-  if (journal) journal->flush();
+  if (failure) std::rethrow_exception(failure);
+  if (journal) note_journal_cost(journal->compact());
   return outcomes;
+}
+
+void ExperimentRunner::note_journal_cost(const SweepJournal::Cost& cost) {
+  res_journal_bytes_.fetch_add(cost.bytes, std::memory_order_relaxed);
+  res_journal_syncs_.fetch_add(cost.syncs, std::memory_order_relaxed);
 }
 
 void ExperimentRunner::publish_metrics(obs::MetricsRegistry& registry,
@@ -402,6 +416,13 @@ void ExperimentRunner::publish_metrics(obs::MetricsRegistry& registry,
         .add(res_restored_.load(std::memory_order_relaxed));
     registry.gauge(p + ".backoff_s")
         .set(static_cast<double>(res_backoff_ns_.load(std::memory_order_relaxed)) * 1e-9);
+    if (!options_.journal_path.empty()) {
+      registry.counter(p + ".journal.bytes_written")
+          .add(res_journal_bytes_.load(std::memory_order_relaxed));
+      registry.counter(p + ".journal.syncs").add(res_journal_syncs_.load(std::memory_order_relaxed));
+      registry.counter(p + ".journal.corrupt_records")
+          .add(res_journal_corrupt_.load(std::memory_order_relaxed));
+    }
     if (options_.chaos.enabled()) {
       registry.counter(p + ".chaos.failures")
           .add(res_chaos_failures_.load(std::memory_order_relaxed));

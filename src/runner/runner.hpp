@@ -89,7 +89,7 @@ struct RunnerOptions {
   // point, no deadline, no journal, no chaos. ---
 
   /// Checkpoint/resume journal path. When set, run_settled (the codec
-  /// overload) flushes every settled point to this file durably; rerunning
+  /// overload) appends every settled point to this file durably; rerunning
   /// the same sweep against the same path skips already-settled points and
   /// reproduces the uninterrupted results byte-identically. Requires a
   /// codec (ConfigError otherwise). Empty = no journaling, and the codec
@@ -253,9 +253,11 @@ class ExperimentRunner {
   /// RunnerOptions::collect_telemetry was set. Runs that engaged resilience
   /// additionally publish `.attempts` / `.retries` / `.timeouts` /
   /// `.failures` / `.points_restored` / `.backoff_s` (and `.chaos.*` when a
-  /// chaos plan was active). Tallies are read with relaxed atomics, so the
-  /// /metrics endpoint may call this concurrently with a run in flight — a
-  /// scrape sees a consistent-enough in-progress snapshot.
+  /// chaos plan was active); journaled ones also `.journal.bytes_written` /
+  /// `.journal.syncs` / `.journal.corrupt_records`. Tallies are read with
+  /// relaxed atomics, so the /metrics endpoint may call this concurrently
+  /// with a run in flight — a scrape sees a consistent-enough in-progress
+  /// snapshot.
   void publish_metrics(obs::MetricsRegistry& registry,
                        std::string_view prefix = "runner") const;
 
@@ -288,7 +290,8 @@ class ExperimentRunner {
   ///                                             the journal's sweep digest)
   /// decode(encode(r)) must reproduce r exactly — resumed results are
   /// restored from journal payloads, and the byte-identity guarantee is only
-  /// as strong as the codec's round trip.
+  /// as strong as the codec's round trip. A journal that cannot be read or
+  /// written throws Error (a failed write once the running points drained).
   template <typename Point, typename Fn, typename Codec>
   [[nodiscard]] auto run_settled(const std::vector<Point>& points, Fn&& fn, const Codec& codec)
       -> std::vector<PointResult<detail::point_value_t<Fn, Point>>> {
@@ -354,14 +357,17 @@ class ExperimentRunner {
 
   /// The resilience engine (runner.cpp): restores journaled points, runs the
   /// rest through run_indexed with per-attempt deadline tokens, chaos
-  /// injection, and deterministic retry, journaling each settled point.
-  /// `body` executes point i under `token` and returns its serialized
+  /// injection, and deterministic retry, appending each settled point to the
+  /// journal and compacting it at the end. `body` executes point i under
+  /// `token` and returns its serialized
   /// payload (empty when no codec); it throws to signal failure.
   std::vector<PointOutcome> run_resilient(std::size_t count, const ResilientBody& body,
                                           const PointDigestFn& point_digest,
                                           const RestoreFn& on_restored);
-  PointOutcome execute_point(std::size_t index, const ResilientBody& body, SweepJournal* journal,
-                             std::uint64_t digest);
+  /// Runs point `index` through its attempts; on success `payload` holds
+  /// the encoded result.
+  PointOutcome execute_point(std::size_t index, const ResilientBody& body, std::string& payload);
+  void note_journal_cost(const SweepJournal::Cost& cost);
   void inject_chaos(std::size_t index, std::int32_t attempt, const util::CancelToken& token);
 
   /// Live-plane hooks, all no-ops when listen_addr was empty (progress_ is
@@ -468,6 +474,9 @@ class ExperimentRunner {
   std::atomic<std::int64_t> res_chaos_failures_{0};
   std::atomic<std::int64_t> res_chaos_hangs_{0};
   std::atomic<std::int64_t> res_restored_{0};
+  std::atomic<std::int64_t> res_journal_bytes_{0};
+  std::atomic<std::int64_t> res_journal_syncs_{0};
+  std::atomic<std::int64_t> res_journal_corrupt_{0};
   std::atomic<bool> resilient_used_{false};  ///< set by every engine run
 
   // Live telemetry plane; both null when RunnerOptions::listen_addr was

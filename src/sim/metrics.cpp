@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -199,10 +200,20 @@ class Cursor {
     const auto len = parse_uint(text_.substr(at_, colon - at_));
     if (!len || colon >= text_.size()) fail("bad length prefix");
     at_ = colon + 1;
-    if (at_ + *len > text_.size()) fail("truncated blob");
+    if (*len > text_.size() - at_) fail("truncated blob");
     const std::string_view out = text_.substr(at_, *len);
     at_ += *len;
     return out;
+  }
+
+  /// Reads the size of a table whose entries take at least one byte each,
+  /// so it can be no larger than the bytes left: a corrupt count fails here
+  /// instead of driving a huge allocation.
+  [[nodiscard]] std::int64_t count(const std::string& what) {
+    const std::int64_t n = i64();
+    if (n < 0) fail("negative " + what);
+    if (static_cast<std::uint64_t>(n) > text_.size() - at_) fail(what + " exceeds the input");
+    return n;
   }
 
   [[noreturn]] void fail(const std::string& why) const {
@@ -252,7 +263,10 @@ BinnedSeries read_series(Cursor& in, const char* name) {
   const std::int64_t width = in.i64();
   if (width <= 0) in.fail("series bin width must be positive");
   BinnedSeries series{Ticks(width)};
-  const std::int64_t bins = in.i64();
+  const std::int64_t bins = in.count("series bin count");
+  if (bins > 0 && width > std::numeric_limits<std::int64_t>::max() / bins) {
+    in.fail("series span overflows");
+  }
   for (std::int64_t i = 0; i < bins; ++i) {
     // add() into an empty bin stores the value exactly (0.0 + v == v).
     series.add(Ticks(width * i), in.f64());
@@ -376,8 +390,7 @@ SimResult parse_sim_result(std::string_view text) {
   d.latency_spikes = in.i64();
   d.retry_backoff_time = Ticks(in.i64());
   in.expect("procs");
-  const std::int64_t proc_count = in.i64();
-  if (proc_count < 0) in.fail("negative process count");
+  const std::int64_t proc_count = in.count("process count");
   result.processes.reserve(static_cast<std::size_t>(proc_count));
   for (std::int64_t i = 0; i < proc_count; ++i) {
     in.expect("p");
@@ -404,14 +417,11 @@ SimResult parse_sim_result(std::string_view text) {
     if (in.i64() != 1) in.fail("unsupported attribution version");
     obs::AttrSummary& a = result.attr;
     a.enabled = true;
-    const std::int64_t files = in.i64();
-    const std::int64_t procs = in.i64();
-    const std::int64_t phases = in.i64();
-    const std::int64_t sizes = in.i64();
-    const std::int64_t disks = in.i64();
-    if (files < 0 || procs < 0 || phases < 0 || sizes < 0 || disks < 0) {
-      in.fail("negative attribution table size");
-    }
+    const std::int64_t files = in.count("attribution table size");
+    const std::int64_t procs = in.count("attribution table size");
+    const std::int64_t phases = in.count("attribution table size");
+    const std::int64_t sizes = in.count("attribution table size");
+    const std::int64_t disks = in.count("attribution table size");
     a.total = read_attr_entry(in);
     for (std::int64_t i = 0; i < files; ++i) a.files.push_back(read_attr_entry(in));
     for (std::int64_t i = 0; i < procs; ++i) a.procs.push_back(read_attr_entry(in));

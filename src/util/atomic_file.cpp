@@ -1,17 +1,12 @@
 #include "util/atomic_file.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "util/error.hpp"
-
-#if defined(_WIN32)
-#include <fstream>
-#else
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace craysim::util {
 
@@ -22,29 +17,25 @@ namespace {
               std::strerror(err));
 }
 
-}  // namespace
-
-#if defined(_WIN32)
-
-void write_file_atomic(const std::string& path, std::string_view contents, bool /*sync*/) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw_io(tmp, "write", errno);
-    }
-  }
-  std::remove(path.c_str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+/// fsyncs the directory holding `path`, which makes a rename into it (or
+/// the creation of `path`) durable.
+void sync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  std::string dir = ".";
+  if (slash != std::string::npos) dir = slash == 0 ? "/" : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) throw_io(dir, "open", errno);
+  // Some filesystems cannot sync a directory and say so with EINVAL; there
+  // the rename is as durable as that filesystem makes it.
+  if (::fsync(fd) != 0 && errno != EINVAL) {
     const int err = errno;
-    std::remove(tmp.c_str());
-    throw_io(path, "rename", err);
+    ::close(fd);
+    throw_io(dir, "fsync", err);
   }
+  ::close(fd);
 }
 
-#else
+}  // namespace
 
 void write_file_atomic(const std::string& path, std::string_view contents, bool sync) {
   // The temp file lives next to the destination so rename(2) cannot cross a
@@ -84,8 +75,7 @@ void write_file_atomic(const std::string& path, std::string_view contents, bool 
     ::unlink(tmp.c_str());
     throw_io(path, "rename", err);
   }
+  if (sync) sync_parent_dir(path);
 }
-
-#endif
 
 }  // namespace craysim::util

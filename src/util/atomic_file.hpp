@@ -15,8 +15,10 @@ namespace craysim::util {
 /// temp file in the same directory (so the final rename stays within one
 /// filesystem), optionally fsync'd for durability, then rename(2)'d over the
 /// destination. Throws Error on any I/O failure; the temp file is removed on
-/// error. `sync` costs an fsync per call — enable it for checkpoint data
-/// that must survive power loss, skip it for reproducible report artifacts.
+/// error. `sync` fsyncs the temp file before the rename and the parent
+/// directory after it, so the new contents and the rename (or the file's
+/// creation) survive power loss — enable it for checkpoint data, skip it
+/// for reproducible report artifacts.
 void write_file_atomic(const std::string& path, std::string_view contents, bool sync = false);
 
 }  // namespace craysim::util

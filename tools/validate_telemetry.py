@@ -37,10 +37,17 @@ Checks (any failure exits nonzero, printing what broke):
   docs/RESILIENCE.md):
     * header line is {"craysim_journal": 1, "sweep_digest": "0x...",
       "points": N > 0}
-    * every record line is valid JSON with a strictly increasing, in-range
-      index, a "0x..." input digest, status in {ok, failed, timeout},
-      attempts >= 1, backoff_ns >= 0
+    * the canonical section's record lines (each starting '{"index":') have
+      strictly increasing indices
+    * every later line is a frame: '#', the zlib.crc32 of the record line
+      as 8 lowercase hex digits, then the record line
+    * every record (canonical, or a frame whose CRC matches) is valid JSON
+      with an in-range index no other record holds, a "0x..." input digest,
+      status in {ok, failed, timeout}, attempts >= 1, backoff_ns >= 0
     * ok records carry a "result" payload; failed/timeout records an "error"
+    * as on resume, a torn last line (no newline) and damaged lines (a frame
+      whose CRC fails, any other line after the canonical section, a blank
+      line) are not errors: they are counted and reported
   Prometheus text exposition (--prom, the live /metrics endpoint's output;
   promlint-style structural checks):
     * every sample line parses as "name[{labels}] value"; names and label
@@ -74,6 +81,7 @@ import argparse
 import json
 import re
 import sys
+import zlib
 
 
 def fail(message):
@@ -265,58 +273,101 @@ def is_hex_digest(value):
     return True
 
 
+JOURNAL_RECORD_PREFIX = b'{"index":'
+JOURNAL_FRAME = re.compile(rb"#([0-9a-f]{8})(.+)", re.DOTALL)
+
+
+def journal_frame_record(line):
+    """The record line inside a frame whose CRC matches, else None."""
+    match = JOURNAL_FRAME.fullmatch(line)
+    if match is None or zlib.crc32(match.group(2)) != int(match.group(1), 16):
+        return None
+    return match.group(2)
+
+
+def check_journal_record(path, lineno, line, points):
+    """Validates one record line; returns its index."""
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        fail(f"{path}:{lineno}: not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        fail(f"{path}:{lineno}: not a JSON object")
+    index = obj.get("index")
+    if not isinstance(index, int) or not 0 <= index < points:
+        fail(f"{path}:{lineno}: index {index!r} out of range [0, {points})")
+    if not is_hex_digest(obj.get("digest")):
+        fail(f"{path}:{lineno}: digest is not a '0x...' string")
+    status = obj.get("status")
+    if status not in VALID_STATUSES:
+        fail(f"{path}:{lineno}: status {status!r} not in {VALID_STATUSES}")
+    attempts = obj.get("attempts")
+    if not isinstance(attempts, int) or attempts < 1:
+        fail(f"{path}:{lineno}: attempts {attempts!r} is not an integer >= 1")
+    backoff = obj.get("backoff_ns")
+    if not isinstance(backoff, int) or backoff < 0:
+        fail(f"{path}:{lineno}: backoff_ns {backoff!r} is not an integer >= 0")
+    if status == "ok":
+        if not isinstance(obj.get("result"), str):
+            fail(f"{path}:{lineno}: ok record without a 'result' payload")
+    elif not isinstance(obj.get("error"), str):
+        fail(f"{path}:{lineno}: {status} record without an 'error' message")
+    return index
+
+
 def validate_journal(path):
-    records = 0
+    try:
+        with open(path, "rb") as f:
+            lines = f.read().split(b"\n")
+    except OSError as e:
+        fail(f"{path}: cannot open: {e.strerror or e}")
+    torn = 1 if lines.pop() else 0  # bytes after the last newline
     points = None
+    seen = set()
+    canonical = framed = corrupt = 0
     last_index = None
-    with open_or_fail(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    in_log = False
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
+            if points is not None:
+                corrupt += 1
+            continue
+        if points is None:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
+                obj = json.loads(text)
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
                 fail(f"{path}:{lineno}: not valid JSON: {e}")
-            if not isinstance(obj, dict):
-                fail(f"{path}:{lineno}: not a JSON object")
-            if points is None:
-                if obj.get("craysim_journal") != 1:
-                    fail(f"{path}:{lineno}: missing craysim_journal version header")
-                if not is_hex_digest(obj.get("sweep_digest")):
-                    fail(f"{path}:{lineno}: sweep_digest is not a '0x...' string")
-                points = obj.get("points")
-                if not isinstance(points, int) or points <= 0:
-                    fail(f"{path}:{lineno}: points is not a positive integer")
-                continue
-            index = obj.get("index")
-            if not isinstance(index, int) or not 0 <= index < points:
-                fail(f"{path}:{lineno}: index {index!r} out of range [0, {points})")
+            if not isinstance(obj, dict) or obj.get("craysim_journal") != 1:
+                fail(f"{path}:{lineno}: missing craysim_journal version header")
+            if not is_hex_digest(obj.get("sweep_digest")):
+                fail(f"{path}:{lineno}: sweep_digest is not a '0x...' string")
+            points = obj.get("points")
+            if not isinstance(points, int) or points <= 0:
+                fail(f"{path}:{lineno}: points is not a positive integer")
+            continue
+        if not in_log and text.startswith(JOURNAL_RECORD_PREFIX):
+            index = check_journal_record(path, lineno, text, points)
             if last_index is not None and index <= last_index:
                 fail(f"{path}:{lineno}: index {index} not strictly increasing "
                      f"(previous {last_index})")
             last_index = index
-            if not is_hex_digest(obj.get("digest")):
-                fail(f"{path}:{lineno}: digest is not a '0x...' string")
-            status = obj.get("status")
-            if status not in VALID_STATUSES:
-                fail(f"{path}:{lineno}: status {status!r} not in {VALID_STATUSES}")
-            attempts = obj.get("attempts")
-            if not isinstance(attempts, int) or attempts < 1:
-                fail(f"{path}:{lineno}: attempts {attempts!r} is not an integer >= 1")
-            backoff = obj.get("backoff_ns")
-            if not isinstance(backoff, int) or backoff < 0:
-                fail(f"{path}:{lineno}: backoff_ns {backoff!r} is not an integer >= 0")
-            if status == "ok":
-                if not isinstance(obj.get("result"), str):
-                    fail(f"{path}:{lineno}: ok record without a 'result' payload")
-            elif not isinstance(obj.get("error"), str):
-                fail(f"{path}:{lineno}: {status} record without an 'error' message")
-            records += 1
+            canonical += 1
+        else:
+            in_log = True
+            record = journal_frame_record(line)
+            if record is None:
+                corrupt += 1
+                continue
+            index = check_journal_record(path, lineno, record, points)
+            framed += 1
+        if index in seen:
+            fail(f"{path}:{lineno}: duplicate record for point {index}")
+        seen.add(index)
     if points is None:
-        fail(f"{path}: empty journal (no header line)")
-    print(f"{path}: OK ({records} of {points} points settled, "
-          f"indices strictly increasing, statuses valid)")
+        fail(f"{path}: empty journal (no complete header line)")
+    print(f"{path}: OK ({len(seen)} of {points} points settled: {canonical} canonical, "
+          f"{framed} framed; torn {torn}, corrupt {corrupt})")
 
 
 PROM_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
