@@ -224,6 +224,19 @@ std::string header_line(std::uint64_t sweep_digest, std::size_t point_count) {
          "\",\"points\":" + std::to_string(point_count) + "}";
 }
 
+/// Throws Error unless `line` is a version-1 header for this sweep.
+void check_header(std::string_view line, const std::string& path, std::size_t lineno,
+                  std::uint64_t sweep_digest, std::size_t point_count) {
+  const LineScanner scan(line, path, lineno);
+  if (scan.number("craysim_journal") != 1) {
+    bad_journal(path, lineno, "unsupported journal version");
+  }
+  if (scan.hex("sweep_digest") != sweep_digest || scan.number("points") != point_count) {
+    throw Error("journal: " + path + " belongs to a different sweep (digest/point-count " +
+                "mismatch); refusing to resume — delete it or pass a fresh path");
+  }
+}
+
 /// Appends `record` as one JSON line, without the newline.
 void append_record_line(std::string& out, const SweepJournal::Record& record) {
   out += "{\"index\":" + std::to_string(record.index) + ",\"digest\":\"" +
@@ -289,7 +302,8 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
   std::string rendered;  // scratch: a restored record as compaction writes it
   std::vector<bool> seen(point_count_, false);
   bool canonical = true;
-  bool in_log = false;
+  bool in_log = false;        // past the canonical section
+  bool framed_lines = false;  // a line starting with the frame marker was seen
   std::size_t lineno = 0;
   std::size_t begin = 0;
   for (std::size_t end = text.find('\n'); end != std::string::npos;
@@ -305,15 +319,7 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
       continue;
     }
     if (!has_header_) {
-      LineScanner scan(trimmed, path_, lineno);
-      if (scan.number("craysim_journal") != 1) {
-        bad_journal(path_, lineno, "unsupported journal version");
-      }
-      if (scan.hex("sweep_digest") != sweep_digest_ ||
-          scan.number("points") != point_count_) {
-        throw Error("journal: " + path_ + " belongs to a different sweep (digest/point-count " +
-                    "mismatch); refusing to resume — delete it or pass a fresh path");
-      }
+      check_header(trimmed, path_, lineno, sweep_digest_, point_count_);
       has_header_ = true;
       canonical = canonical && line == header;
       continue;
@@ -327,6 +333,13 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
         canonical = line == rendered && (records_.empty() || records_.back().index < record.index);
       }
     } else {
+      // A record line after the canonical section ended, but before any
+      // line with the frame marker, follows a damaged canonical record:
+      // refuse the journal rather than drop every record after the damage.
+      if (!framed_lines && starts_with(trimmed, kRecordPrefix)) {
+        bad_journal(path_, lineno, "record after a damaged canonical record");
+      }
+      framed_lines = framed_lines || trimmed.front() == kFrameMarker;
       in_log = true;
       canonical = false;
       const std::optional<std::string_view> framed = frame_record(line);
@@ -341,6 +354,13 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
     records_.push_back(std::move(record));
   }
   if (!has_header_ && lineno > 0) bad_journal(path_, 1, "missing journal header");
+  if (!has_header_ && !starts_with(header, std::string_view(text).substr(begin))) {
+    // No complete line. A cut of this sweep's header is a torn header, which
+    // the first append replaces; anything else is not this sweep's journal.
+    check_header(trim(std::string_view(text).substr(begin)), path_, 1, sweep_digest_,
+                 point_count_);
+    bad_journal(path_, 1, "journal header has no newline");
+  }
   valid_size_ = begin;
   torn_tail_ = begin < text.size();
   canonical_ = has_header_ && canonical && !torn_tail_;
@@ -386,7 +406,6 @@ SweepJournal::Cost SweepJournal::append(Record record) {
   frame += '\n';
 
   Cost cost;
-  std::uint64_t ticket = 0;
   int fd = -1;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -401,7 +420,6 @@ SweepJournal::Cost SweepJournal::append(Record record) {
       throw;
     }
     cost.bytes += static_cast<std::int64_t>(frame.size());
-    ticket = ++written_;
     fd = fd_;
     canonical_ = false;
     const auto at = std::lower_bound(
@@ -409,23 +427,15 @@ SweepJournal::Cost SweepJournal::append(Record record) {
         [](const Record& r, std::size_t index) { return r.index < index; });
     records_.insert(at, std::move(record));
   }
-  // Group commit: one fdatasync covers every frame written before it
-  // starts, so appends that queued behind it return without a sync of
-  // their own.
-  const std::lock_guard<std::mutex> lock(sync_mutex_);
-  if (synced_ >= ticket) return cost;
-  std::uint64_t covered = 0;
-  {
-    const std::lock_guard<std::mutex> state(mutex_);
-    covered = written_;
-  }
+  // Synced outside the mutex, so other workers write their frames meanwhile.
   if (::fdatasync(fd) != 0) {
     const int err = errno;
-    const std::lock_guard<std::mutex> state(mutex_);
-    failed_ = true;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      failed_ = true;
+    }
     io_failure(path_, "fdatasync", err);
   }
-  synced_ = covered;
   ++cost.syncs;
   return cost;
 }

@@ -13,9 +13,9 @@
 //     frame and a frame needs no length field.
 //
 // append() writes one frame under the journal mutex and fdatasyncs it
-// outside the mutex; appends that land while a sync runs share the next one
-// (group commit). A record is durable when append() returns, and a point's
-// journal cost no longer grows with the journal. compact() runs once, at
+// outside the mutex, so one worker's sync does not hold up another's write.
+// A record is durable when append() returns, and a point's journal cost does
+// not grow with the journal. compact() runs once, at
 // sweep end: it rewrites the file in canonical form (temp file + fsync +
 // rename + directory fsync), so the final bytes are a pure function of the
 // settled records and a resumed run converges on a file byte-identical to
@@ -34,7 +34,15 @@
 //     dropped and counted in corrupt_records(), and their points run again.
 //     A frame with a damaged marker therefore never reads as a canonical
 //     record: its CRC digits follow the marker.
+//   * A line that starts like a canonical record after the section ended,
+//     but before any line that starts with '#', follows a damaged canonical
+//     record and throws Error. So damage to the start of a canonical line
+//     costs at most that one record — when it is the last one, which cannot
+//     be told from a first frame with a damaged marker, it is dropped and
+//     counted like one.
 //   * Blank lines are skipped; after the header they count as damage too.
+//   * A file with no complete line is a torn header only if its bytes are a
+//     cut of this sweep's header line; anything else throws Error.
 // `tools/validate_telemetry.py --journal` checks the format.
 #pragma once
 
@@ -123,7 +131,7 @@ class SweepJournal {
   std::size_t point_count_ = 0;
   std::int64_t corrupt_ = 0;
 
-  std::mutex mutex_;             ///< guards the members up to sync_mutex_
+  std::mutex mutex_;             ///< guards the members below
   std::vector<Record> records_;  ///< every settled record, kept sorted by index
   bool has_header_ = false;      ///< the file starts with a complete header line
   bool canonical_ = false;       ///< the file is byte-exactly the canonical form
@@ -131,10 +139,6 @@ class SweepJournal {
   bool torn_tail_ = false;       ///< the file holds bytes past valid_size_
   int fd_ = -1;                  ///< append descriptor; -1 until the first append
   bool failed_ = false;          ///< a write or sync failed: no more appends
-  std::uint64_t written_ = 0;    ///< frames written so far
-
-  std::mutex sync_mutex_;     ///< one fdatasync at a time; guards synced_
-  std::uint64_t synced_ = 0;  ///< frames known durable
 };
 
 }  // namespace craysim::runner

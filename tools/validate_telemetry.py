@@ -48,6 +48,9 @@ Checks (any failure exits nonzero, printing what broke):
     * as on resume, a torn last line (no newline) and damaged lines (a frame
       whose CRC fails, any other line after the canonical section, a blank
       line) are not errors: they are counted and reported
+    * as on resume, a line starting '{"index":' after the canonical section
+      ended but before any line starting '#' is an error: it follows a
+      damaged canonical record
   Prometheus text exposition (--prom, the live /metrics endpoint's output;
   promlint-style structural checks):
     * every sample line parses as "name[{labels}] value"; names and label
@@ -327,6 +330,7 @@ def validate_journal(path):
     canonical = framed = corrupt = 0
     last_index = None
     in_log = False
+    framed_lines = False  # a line starting with the frame marker was seen
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
         if not text:
@@ -354,6 +358,9 @@ def validate_journal(path):
             last_index = index
             canonical += 1
         else:
+            if not framed_lines and text.startswith(JOURNAL_RECORD_PREFIX):
+                fail(f"{path}:{lineno}: record after a damaged canonical record")
+            framed_lines = framed_lines or text.startswith(b"#")
             in_log = True
             record = journal_frame_record(line)
             if record is None:
