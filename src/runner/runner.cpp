@@ -522,11 +522,4 @@ std::string ExperimentRunner::status_json() const {
   return out.str();
 }
 
-SharedTraceFile map_shared_trace(const std::string& path) {
-  auto mapped = trace::MappedFile::open(path);
-  if (!mapped) throw Error("cannot map trace file: " + path);
-  mapped->advise_sequential();
-  return std::make_shared<const trace::MappedFile>(std::move(*mapped));
-}
-
 }  // namespace craysim::runner

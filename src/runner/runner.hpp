@@ -8,7 +8,9 @@
 // pool only decides *when* each point executes — result i is always written
 // by the invocation fn(points[i]), into slot i. Sweep inputs that are shared
 // across points (a parsed trace, a parameter struct) must be shared
-// immutably; SharedTraceFile below is the intended vehicle for a trace.
+// immutably: a std::shared_ptr<const trace::Trace> feeding one
+// trace::MemoryRecordSource per point, or one trace::open_record_stream per
+// point.
 //
 // Every run_settled call runs one engine (docs/RESILIENCE.md); default
 // options are that engine with no journal, no deadline, one attempt and no
@@ -41,7 +43,6 @@
 
 #include "runner/journal.hpp"
 #include "runner/progress.hpp"
-#include "trace/mapped_file.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
@@ -492,16 +493,5 @@ class ExperimentRunner {
   std::string flight_journal_;
   std::string flight_dump_;
 };
-
-/// A read-only mmap of a trace file shared across sweep points: one set of
-/// page-cache pages feeds every worker (and every runner process — the
-/// kernel shares clean pages machine-wide), and each point walks its own
-/// zero-copy reader over the mapping. A trace already in memory needs no
-/// wrapper: share it immutably (a const reference or a shared_ptr feeding a
-/// trace::MemoryRecordSource per point). Throws craysim::Error for
-/// unmappable inputs (FIFO, size-0) — streaming sweeps need a real file.
-using SharedTraceFile = std::shared_ptr<const trace::MappedFile>;
-
-[[nodiscard]] SharedTraceFile map_shared_trace(const std::string& path);
 
 }  // namespace craysim::runner

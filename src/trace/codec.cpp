@@ -1,5 +1,6 @@
 #include "trace/codec.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 
@@ -13,60 +14,101 @@ std::uint64_t file_key(std::uint32_t pid, std::uint32_t file_id) {
   return (static_cast<std::uint64_t>(pid) << 32) | file_id;
 }
 
-void append_int(std::string& out, std::int64_t value) {
-  if (!out.empty()) out += ' ';
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  (void)ec;
-  out.append(buf, ptr);
-}
+// Magnitude bound on every value field: 2^50 bytes (1 PiB) / ticks (~350
+// years). Far beyond any real trace, but small enough that the block-size
+// rescale and running start-time sum below can never overflow int64 on
+// hostile input.
+constexpr std::int64_t kFieldLimit = std::int64_t{1} << 50;
 
-/// Walks the space-delimited tokens of a line in place — the zero-copy
-/// replacement for split(), which materialized a vector of views per record
-/// on the decode hot path. Runs of spaces count as one delimiter, matching
-/// split()'s empty-token dropping.
-class TokenCursor {
- public:
-  explicit TokenCursor(std::string_view text) : text_(text) {}
+// The longest line encode() renders: ten fields of at most 20 characters
+// ("-9223372036854775808"), each after one space.
+constexpr std::size_t kMaxLineBytes = 10 * 21;
 
-  /// Returns the next token, or nullopt when the line is exhausted.
-  std::optional<std::string_view> next() {
-    while (pos_ < text_.size() && text_[pos_] == ' ') ++pos_;
-    if (pos_ >= text_.size()) return std::nullopt;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ' ') ++pos_;
-    return text_.substr(start, pos_ - start);
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
+/// A token of a wire line (a run of non-spaces) and its value.
+template <typename T>
+struct Token {
+  std::string_view text;
+  std::optional<T> value;  ///< nullopt when the token does not parse
 };
 
+/// Reads the token that starts at `p`, a non-space before `end`. A plain
+/// decimal token parses in place. Any other (hex, a '+', overflow, a tab or
+/// CR inside it) goes whole through `parse_whole`, parse_uint or parse_int,
+/// which gives it the outcome it always had. Reads nothing at or past `end`.
+template <typename T>
+Token<T> read_token(const char* p, const char* end,
+                    std::optional<T> (*parse_whole)(std::string_view)) {
+  T value{};
+  const auto [stop, ec] = std::from_chars(p, end, value);
+  if (ec == std::errc{} && (stop == end || *stop == ' ')) {
+    return {std::string_view(p, static_cast<std::size_t>(stop - p)), value};
+  }
+  const std::string_view text(p, static_cast<std::size_t>(std::find(p, end, ' ') - p));
+  return {text, parse_whole(text)};
+}
+
 }  // namespace
+
+const std::uint32_t* CompressionState::last_file_of(std::uint32_t pid) const {
+  if (has_previous_ && pid == previous_process_) return &previous_file_;
+  const auto it = last_file_by_process_.find(pid);
+  return it == last_file_by_process_.end() ? nullptr : &it->second;
+}
+
+CompressionState::File* CompressionState::file(std::uint32_t pid, std::uint32_t file_id) {
+  const std::uint64_t key = file_key(pid, file_id);
+  if (finger_.file != nullptr && finger_.key == key) return finger_.file;
+  const auto it = files_.find(key);
+  return it == files_.end() ? nullptr : &it->second;
+}
+
+void CompressionState::commit(const TraceRecord& record, File* state) {
+  if (has_previous_ && record.process_id != previous_process_) {
+    last_file_by_process_[previous_process_] = previous_file_;
+  }
+  has_previous_ = true;
+  previous_start_ = record.start_time;
+  previous_process_ = record.process_id;
+  previous_file_ = record.file_id;
+  const std::uint64_t key = file_key(record.process_id, record.file_id);
+  if (state == nullptr) state = &files_[key];
+  state->next_sequential_offset = record.end();
+  state->last_length = record.length;
+  state->last_operation_id = record.operation_id;
+  state->has_operation = true;
+  finger_.key = key;
+  finger_.file = state;
+}
+
+void CompressionState::reset() {
+  has_previous_ = false;
+  previous_start_ = Ticks::zero();
+  previous_process_ = 0;
+  previous_file_ = 0;
+  last_file_by_process_.clear();
+  files_.clear();
+  finger_.file = nullptr;
+}
 
 std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
   validate(record);
   if (record.is_comment()) {
     throw TraceFormatError("use encode_comment for comment records");
   }
-  if (has_previous_ && record.start_time < previous_start_) {
+  if (state_.has_previous() && record.start_time < state_.previous_start()) {
     throw TraceFormatError("records must be encoded in start-time order");
   }
 
   std::uint16_t compression = 0;
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
 
-  const bool omit_pid = has_previous_ && record.process_id == last_process_id_;
+  const bool omit_pid = state_.has_previous() && record.process_id == state_.previous_process();
   if (omit_pid) compression |= kNoProcessId;
 
-  const auto file_it = last_file_by_process_.find(record.process_id);
-  const bool omit_file =
-      file_it != last_file_by_process_.end() && file_it->second == record.file_id;
+  const std::uint32_t* last_file = state_.last_file_of(record.process_id);
+  const bool omit_file = last_file != nullptr && *last_file == record.file_id;
   if (omit_file) compression |= kNoFileId;
 
-  const auto state_it = file_states_.find(key);
-  const FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  CompressionState::File* state = state_.file(record.process_id, record.file_id);
 
   const bool omit_op =
       state != nullptr && state->has_operation && state->last_operation_id == record.operation_id;
@@ -89,32 +131,30 @@ std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
     length_value /= kTraceBlockSize;
   }
 
-  const Ticks start_delta = has_previous_ ? record.start_time - previous_start_
-                                          : record.start_time;
+  const Ticks start_delta = state_.has_previous() ? record.start_time - state_.previous_start()
+                                                  : record.start_time;
 
-  std::string line;
-  append_int(line, record.record_type);
-  append_int(line, compression);
-  if (!omit_offset) append_int(line, offset_value);
-  if (!omit_length) append_int(line, length_value);
-  append_int(line, start_delta.count());
-  append_int(line, record.completion_time.count());
-  if (!omit_op) append_int(line, record.operation_id);
-  if (!omit_file) append_int(line, record.file_id);
-  if (!omit_pid) append_int(line, record.process_id);
-  append_int(line, record.process_time.count());
+  // Every field is rendered into one stack buffer, each after a space; the
+  // line starts after the first space.
+  std::array<char, kMaxLineBytes> buf;
+  char* out = buf.data();
+  const auto put = [&](std::int64_t value) {
+    *out++ = ' ';
+    out = std::to_chars(out, buf.data() + buf.size(), value).ptr;
+  };
+  put(record.record_type);
+  put(compression);
+  if (!omit_offset) put(offset_value);
+  if (!omit_length) put(length_value);
+  put(start_delta.count());
+  put(record.completion_time.count());
+  if (!omit_op) put(record.operation_id);
+  if (!omit_file) put(record.file_id);
+  if (!omit_pid) put(record.process_id);
+  put(record.process_time.count());
 
-  // Update relative-field state.
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
-  return line;
+  state_.commit(record, state);
+  return std::string(buf.data() + 1, out);
 }
 
 std::string AsciiTraceEncoder::encode_comment(std::string_view text) const {
@@ -126,80 +166,70 @@ std::string AsciiTraceEncoder::encode_comment(std::string_view text) const {
   return line;
 }
 
-void AsciiTraceEncoder::reset() {
-  has_previous_ = false;
-  previous_start_ = Ticks::zero();
-  last_process_id_ = 0;
-  last_file_by_process_.clear();
-  file_states_.clear();
-}
-
 std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line) {
   const std::string_view trimmed = trim(line);
   if (trimmed.empty()) return std::nullopt;
 
-  // Fast path for the comment marker so free text is not tokenized.
-  const std::size_t first_space = trimmed.find(' ');
-  const std::string_view first_tok =
-      first_space == std::string_view::npos ? trimmed : trimmed.substr(0, first_space);
-  const auto type_value = parse_uint(first_tok);
-  if (!type_value) throw TraceFormatError("unparseable record type: '" + std::string(first_tok) + "'");
-  if (*type_value > 0xffff) throw TraceFormatError("record type out of range");
-  if (*type_value == kTraceComment) {
-    last_comment_ = first_space == std::string_view::npos
-                        ? std::string()
-                        : std::string(trim(trimmed.substr(first_space)));
+  // One scan over the line, with `p` just past the last token read.
+  const char* p = trimmed.data();
+  const char* const end = p + trimmed.size();
+
+  const Token<std::uint64_t> type = read_token<std::uint64_t>(p, end, parse_uint);
+  if (!type.value) {
+    throw TraceFormatError("unparseable record type: '" + std::string(type.text) + "'");
+  }
+  p += type.text.size();
+  if (*type.value > 0xffff) throw TraceFormatError("record type out of range");
+  if (*type.value == kTraceComment) {
+    last_comment_ = std::string(trim(std::string_view(p, static_cast<std::size_t>(end - p))));
     ++comment_count_;
     return std::nullopt;
   }
 
-  TokenCursor cursor(trimmed);
-  (void)cursor.next();  // token 0 is the record type, already parsed above
-  // Magnitude bound on every value field: 2^50 bytes (1 PiB) / ticks (~350
-  // years). Far beyond any real trace, but small enough that the block-size
-  // rescale and running start-time sum below can never overflow int64 on
-  // hostile input.
-  constexpr std::int64_t kFieldLimit = std::int64_t{1} << 50;
   auto next_int = [&](const char* field) -> std::int64_t {
-    const auto token = cursor.next();
-    if (!token) {
+    while (p != end && *p == ' ') ++p;
+    if (p == end) {
       throw TraceFormatError(std::string("missing field '") + field + "' in: " +
                              std::string(trimmed));
     }
-    const auto v = parse_int(*token);
-    if (!v) {
+    const Token<std::int64_t> token = read_token<std::int64_t>(p, end, parse_int);
+    if (!token.value) {
       throw TraceFormatError(std::string("unparseable field '") + field + "': " +
-                             std::string(*token));
+                             std::string(token.text));
     }
-    if (*v > kFieldLimit || *v < -kFieldLimit) {
+    if (*token.value > kFieldLimit || *token.value < -kFieldLimit) {
       throw TraceFormatError(std::string("field '") + field + "' out of range: " +
-                             std::string(*token));
+                             std::string(token.text));
     }
-    return *v;
+    p += token.text.size();
+    return *token.value;
+  };
+  auto next_id = [&](const char* field) -> std::uint32_t {
+    const std::int64_t value = next_int(field);
+    if (value < 0 || value > UINT32_MAX) {
+      throw TraceFormatError(std::string(field) + " out of range");
+    }
+    return static_cast<std::uint32_t>(value);
   };
 
   TraceRecord record;
-  record.record_type = static_cast<std::uint16_t>(*type_value);
+  record.record_type = static_cast<std::uint16_t>(*type.value);
 
   const std::int64_t comp = next_int("compression");
   if (comp < 0 || comp > 0xffff) throw TraceFormatError("compression flags out of range");
   record.compression = static_cast<std::uint16_t>(comp);
   const std::uint16_t c = record.compression;
 
-  std::optional<Bytes> offset_field;
   if (!(c & kNoOffset)) {
-    Bytes v = next_int("offset");
-    if (c & kOffsetInBlocks) v *= kTraceBlockSize;
-    offset_field = v;
+    record.offset = next_int("offset");
+    if (c & kOffsetInBlocks) record.offset *= kTraceBlockSize;
   } else if (c & kOffsetInBlocks) {
     throw TraceFormatError("TRACE_OFFSET_IN_BLOCKS set on a record without an offset field");
   }
 
-  std::optional<Bytes> length_field;
   if (!(c & kNoLength)) {
-    Bytes v = next_int("length");
-    if (c & kLengthInBlocks) v *= kTraceBlockSize;
-    length_field = v;
+    record.length = next_int("length");
+    if (c & kLengthInBlocks) record.length *= kTraceBlockSize;
   } else if (c & kLengthInBlocks) {
     throw TraceFormatError("TRACE_LENGTH_IN_BLOCKS set on a record without a length field");
   }
@@ -207,55 +237,33 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
   const Ticks start_delta = Ticks(next_int("startTime"));
   record.completion_time = Ticks(next_int("completionTime"));
 
-  std::optional<std::uint32_t> op_field;
-  if (!(c & kNoOperationId)) {
-    const std::int64_t v = next_int("operationId");
-    if (v < 0 || v > UINT32_MAX) throw TraceFormatError("operationId out of range");
-    op_field = static_cast<std::uint32_t>(v);
-  }
-  std::optional<std::uint32_t> file_field;
-  if (!(c & kNoFileId)) {
-    const std::int64_t v = next_int("fileId");
-    if (v < 0 || v > UINT32_MAX) throw TraceFormatError("fileId out of range");
-    file_field = static_cast<std::uint32_t>(v);
-  }
-  std::optional<std::uint32_t> pid_field;
-  if (!(c & kNoProcessId)) {
-    const std::int64_t v = next_int("processId");
-    if (v < 0 || v > UINT32_MAX) throw TraceFormatError("processId out of range");
-    pid_field = static_cast<std::uint32_t>(v);
-  }
+  if (!(c & kNoOperationId)) record.operation_id = next_id("operationId");
+  if (!(c & kNoFileId)) record.file_id = next_id("fileId");
+  if (!(c & kNoProcessId)) record.process_id = next_id("processId");
   record.process_time = Ticks(next_int("processTime"));
-  if (cursor.next()) {
+  while (p != end && *p == ' ') ++p;
+  if (p != end) {
     throw TraceFormatError("trailing fields in record: " + std::string(trimmed));
   }
 
   // Resolve identity fields in dependency order: pid -> fileId -> file state.
-  if (pid_field) {
-    record.process_id = *pid_field;
-  } else {
-    if (!has_last_process_) throw TraceFormatError("TRACE_NO_PROCESSID on first record");
-    record.process_id = last_process_id_;
+  if (c & kNoProcessId) {
+    if (!state_.has_previous()) throw TraceFormatError("TRACE_NO_PROCESSID on first record");
+    record.process_id = state_.previous_process();
   }
 
-  if (file_field) {
-    record.file_id = *file_field;
-  } else {
-    const auto it = last_file_by_process_.find(record.process_id);
-    if (it == last_file_by_process_.end()) {
+  if (c & kNoFileId) {
+    const std::uint32_t* last_file = state_.last_file_of(record.process_id);
+    if (last_file == nullptr) {
       throw TraceFormatError("TRACE_NO_FILEID with no prior record for process " +
                              std::to_string(record.process_id));
     }
-    record.file_id = it->second;
+    record.file_id = *last_file;
   }
 
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
-  auto state_it = file_states_.find(key);
-  FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  CompressionState::File* state = state_.file(record.process_id, record.file_id);
 
-  if (op_field) {
-    record.operation_id = *op_field;
-  } else {
+  if (c & kNoOperationId) {
     if (state == nullptr || !state->has_operation) {
       throw TraceFormatError("TRACE_NO_OPERATIONID with no prior record for file " +
                              std::to_string(record.file_id));
@@ -263,9 +271,7 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
     record.operation_id = state->last_operation_id;
   }
 
-  if (offset_field) {
-    record.offset = *offset_field;
-  } else {
+  if (c & kNoOffset) {
     if (state == nullptr) {
       throw TraceFormatError("TRACE_NO_BLOCK with no prior access to file " +
                              std::to_string(record.file_id));
@@ -273,9 +279,7 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
     record.offset = state->next_sequential_offset;
   }
 
-  if (length_field) {
-    record.length = *length_field;
-  } else {
+  if (c & kNoLength) {
     if (state == nullptr || state->last_length < 0) {
       throw TraceFormatError("TRACE_NO_LENGTH with no prior access to file " +
                              std::to_string(record.file_id));
@@ -283,7 +287,8 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
     record.length = state->last_length;
   }
 
-  record.start_time = has_previous_ ? previous_start_ + start_delta : start_delta;
+  record.start_time =
+      state_.has_previous() ? state_.previous_start() + start_delta : start_delta;
   if (start_delta < Ticks::zero()) throw TraceFormatError("negative start-time delta");
   // With per-field deltas capped at 2^50 this bound keeps the running sum
   // below 2^60, so the next addition cannot overflow either.
@@ -292,27 +297,12 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
   }
 
   validate(record);
-
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  has_last_process_ = true;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  state_.commit(record, state);
   return record;
 }
 
 void AsciiTraceDecoder::reset() {
-  has_previous_ = false;
-  previous_start_ = Ticks::zero();
-  last_process_id_ = 0;
-  has_last_process_ = false;
-  last_file_by_process_.clear();
-  file_states_.clear();
+  state_.reset();
   last_comment_.clear();
   comment_count_ = 0;
 }

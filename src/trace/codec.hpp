@@ -27,6 +27,69 @@
 
 namespace craysim::trace {
 
+/// The relative-field state the compression flags refer back to, kept the
+/// same way by encoder and decoder: the previous record's start time and
+/// process, each process's last file, and per (process, file) the next
+/// sequential offset, last length and last operation id.
+///
+/// Most records continue the previous one (same process, usually the same
+/// file), so the state keeps a finger on the previous record: its file, and
+/// a pointer to its file's entry. Lookups check the finger before hashing.
+/// Entries live in node-based maps, whose element pointers survive a rehash.
+class CompressionState {
+ public:
+  struct File {
+    Bytes next_sequential_offset = 0;
+    Bytes last_length = -1;
+    std::uint32_t last_operation_id = 0;
+    bool has_operation = false;
+  };
+
+  /// False until the first record is committed.
+  [[nodiscard]] bool has_previous() const { return has_previous_; }
+  [[nodiscard]] Ticks previous_start() const { return previous_start_; }
+  [[nodiscard]] std::uint32_t previous_process() const { return previous_process_; }
+
+  /// The file of `pid`'s last record, or null if `pid` has none.
+  [[nodiscard]] const std::uint32_t* last_file_of(std::uint32_t pid) const;
+
+  /// The state of `file_id` as opened by `pid`, or null before its first
+  /// record.
+  [[nodiscard]] File* file(std::uint32_t pid, std::uint32_t file_id);
+
+  /// Makes `record` the previous record. `state` is what file() returned for
+  /// its process and file; null creates the entry.
+  void commit(const TraceRecord& record, File* state);
+
+  void reset();
+
+ private:
+  /// A cached entry of files_. The entry belongs to the map it came from, so
+  /// a copy or move leaves both sides without one.
+  struct Finger {
+    std::uint64_t key = 0;
+    File* file = nullptr;
+
+    Finger() = default;
+    Finger(const Finger&) noexcept {}
+    Finger(Finger&& other) noexcept { other.file = nullptr; }
+    Finger& operator=(Finger /*copied or moved from*/) noexcept {
+      file = nullptr;
+      return *this;
+    }
+  };
+
+  bool has_previous_ = false;
+  Ticks previous_start_;
+  std::uint32_t previous_process_ = 0;
+  std::uint32_t previous_file_ = 0;
+  /// Exact for every process but the previous one, whose last file is
+  /// previous_file_; commit() writes it back when the process changes.
+  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
+  std::unordered_map<std::uint64_t, File> files_;  // key: pid<<32|fileId
+  Finger finger_;
+};
+
 /// Stateful encoder: feed records carrying ABSOLUTE start times; emits
 /// compressed wire lines. The same instance must encode an entire trace in
 /// order, since compression is relative to earlier records.
@@ -41,31 +104,21 @@ class AsciiTraceEncoder {
   [[nodiscard]] std::string encode_comment(std::string_view text) const;
 
   /// Forgets all relative-field state (e.g. between independent traces).
-  void reset();
+  void reset() { state_.reset(); }
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;  // key: pid<<32|fileId
+  CompressionState state_;
 };
 
 /// Stateful decoder: feed wire lines in order; produces records with
 /// ABSOLUTE start times reconstructed. Mirrors the encoder's state machine.
 class AsciiTraceDecoder {
  public:
-  /// Decodes one line. Returns nullopt for comments and blank lines (the
+  /// Decodes one line in a single left-to-right scan that never reads past
+  /// the line's last byte. Returns nullopt for comments and blank lines (the
   /// comment text is retrievable via last_comment()). Throws
   /// TraceFormatError when a compression flag references missing state or
-  /// the line is malformed.
+  /// the line is malformed; state changes only when a line decodes.
   [[nodiscard]] std::optional<TraceRecord> decode_line(std::string_view line);
 
   /// Text of the most recent comment record (empty if none seen yet).
@@ -77,19 +130,7 @@ class AsciiTraceDecoder {
   void reset();
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  bool has_last_process_ = false;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;
+  CompressionState state_;
   std::string last_comment_;
   std::int64_t comment_count_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "trace/stream.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "trace/binary_stream.hpp"
 #include "trace/mapped_file.hpp"
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace craysim::trace {
 
@@ -36,6 +38,17 @@ void ParseReport::publish_metrics(obs::MetricsRegistry& registry,
 
 namespace {
 
+constexpr std::string_view kTraceFormatPrefix = "trace format: ";
+
+/// Upper bound on the records in `text`, to reserve a whole trace up front:
+/// one per line, and a record line takes at least 10 bytes with its newline
+/// (five one-digit fields, compression being three), so a run of blank lines
+/// cannot inflate the reservation.
+std::size_t record_capacity(std::string_view text) {
+  const auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  return std::min(lines, text.size() / 10 + 1);
+}
+
 /// One line under the shared strict/recoverable decode policy (both readers
 /// funnel through here so their semantics cannot drift apart). Returns the
 /// record, or nullopt for comments/blank/skipped lines.
@@ -50,7 +63,11 @@ std::optional<TraceRecord> decode_with_policy(AsciiTraceDecoder& decoder, std::s
     }
   } catch (const TraceFormatError& e) {
     if (!recovery) {
-      throw TraceFormatError("line " + std::to_string(line_number) + ": " + e.what());
+      // e.what() already starts with TraceFormatError's "trace format: ";
+      // the rethrow puts the line number after that prefix, not a second one.
+      std::string_view detail = e.what();
+      if (starts_with(detail, kTraceFormatPrefix)) detail.remove_prefix(kTraceFormatPrefix.size());
+      throw TraceFormatError("line " + std::to_string(line_number) + ": " + std::string(detail));
     }
     // decode_line only commits decoder state after a full successful decode,
     // so a thrown line leaves the relative-field state at the last good
@@ -104,20 +121,22 @@ std::string read_file(const std::string& path) {
   return text;
 }
 
+void TraceWriter::write_line(const std::string& line) {
+  out_->write(line.data(), static_cast<std::streamsize>(line.size()));
+  out_->put('\n');
+}
+
 void TraceWriter::write(const TraceRecord& record) {
-  *out_ << encoder_.encode(record) << '\n';
+  write_line(encoder_.encode(record));
   ++records_written_;
 }
 
-void TraceWriter::comment(std::string_view text) {
-  *out_ << encoder_.encode_comment(text) << '\n';
-}
+void TraceWriter::comment(std::string_view text) { write_line(encoder_.encode_comment(text)); }
 
 std::optional<TraceRecord> TraceReader::next() {
-  std::string line;
-  while (std::getline(*in_, line)) {
+  while (std::getline(*in_, line_)) {
     ++line_number_;
-    if (auto record = decode_with_policy(decoder_, line, line_number_, recovery_, report_)) {
+    if (auto record = decode_with_policy(decoder_, line_, line_number_, recovery_, report_)) {
       return record;
     }
   }
@@ -150,6 +169,7 @@ std::string serialize_trace(const Trace& trace, std::string_view header_comment)
 Trace parse_trace(std::string_view text) {
   TraceTextReader reader(text);
   Trace trace;
+  trace.reserve(record_capacity(text));
   while (auto record = reader.next()) trace.push_back(*record);
   return trace;
 }
@@ -157,6 +177,7 @@ Trace parse_trace(std::string_view text) {
 RecoveredTrace parse_trace_lossy(std::string_view text, const RecoveryOptions& recovery) {
   TraceTextReader reader(text, recovery);
   RecoveredTrace result;
+  result.trace.reserve(record_capacity(text));
   while (auto record = reader.next()) result.trace.push_back(*record);
   result.report = reader.report();
   return result;

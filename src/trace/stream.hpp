@@ -64,6 +64,8 @@ class TraceWriter {
   [[nodiscard]] std::int64_t records_written() const { return records_written_; }
 
  private:
+  void write_line(const std::string& line);
+
   std::ostream* out_;
   AsciiTraceEncoder encoder_;
   std::int64_t records_written_ = 0;
@@ -128,6 +130,7 @@ class TraceReader final : public RecordSource {
 
  private:
   std::istream* in_;
+  std::string line_;  ///< reused by every next(): no allocation per line
   AsciiTraceDecoder decoder_;
   std::int64_t line_number_ = 0;
   std::optional<RecoveryOptions> recovery_;

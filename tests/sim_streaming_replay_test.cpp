@@ -11,11 +11,13 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "runner/runner.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "trace/binary_stream.hpp"
+#include "trace/mapped_file.hpp"
 #include "trace/stream.hpp"
 #include "workload/profiles.hpp"
 #include "workload/trace_gen.hpp"
@@ -137,7 +139,9 @@ TEST(StreamingReplay, SweepPointsShareOneMappingAndAgree) {
   trace::save_trace_binary(venus(), path);
   const std::string whole = run_replay(from_memory(venus()));
 
-  const runner::SharedTraceFile mapped = runner::map_shared_trace(path);
+  auto opened = trace::MappedFile::open(path);
+  ASSERT_TRUE(opened.has_value());
+  const auto mapped = std::make_shared<const trace::MappedFile>(std::move(*opened));
   runner::ExperimentRunner pool;
   const std::vector<int> points = {0, 1, 2};
   const auto results = pool.run(points, [&](int) {
@@ -146,10 +150,6 @@ TEST(StreamingReplay, SweepPointsShareOneMappingAndAgree) {
   });
   for (const auto& result : results) EXPECT_EQ(result, whole);
   std::remove(path.c_str());
-}
-
-TEST(MapSharedTrace, RejectsUnmappableInputs) {
-  EXPECT_THROW((void)runner::map_shared_trace("/nonexistent/dir/x.bin"), Error);
 }
 
 }  // namespace

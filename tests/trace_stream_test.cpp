@@ -73,6 +73,28 @@ TEST(TraceReader, ReportsLineNumberOnError) {
   }
 }
 
+TEST(TraceReader, StrictErrorCarriesOnePrefixAndTheLineNumber) {
+  const std::string text =
+      "255 header\n128 0 0 100 10 5 1 1 7 5\n\n255 note\n128 0 0 100 10 5 1 1 7\n";
+  const std::string expected =
+      "trace format: line 5: missing field 'processTime' in: 128 0 0 100 10 5 1 1 7";
+  std::stringstream buffer(text);
+  TraceReader reader(buffer);
+  try {
+    while (reader.next()) {
+    }
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  try {
+    (void)parse_trace(text);
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+}
+
 TEST(SaveLoad, FileRoundTrip) {
   Trace t;
   for (std::uint32_t i = 1; i <= 5; ++i) t.push_back(simple(i, Ticks(i * 7)));
