@@ -34,7 +34,8 @@ struct Token {
 /// Reads the token that starts at `p`, a non-space before `end`. A plain
 /// decimal token parses in place. Any other (hex, a '+', overflow, a tab or
 /// CR inside it) goes whole through `parse_whole`, parse_uint or parse_int,
-/// which gives it the outcome it always had. Reads nothing at or past `end`.
+/// so those functions' rules decide every token; the in-place parse takes
+/// only tokens on which it agrees with them. Reads nothing at or past `end`.
 template <typename T>
 Token<T> read_token(const char* p, const char* end,
                     std::optional<T> (*parse_whole)(std::string_view)) {

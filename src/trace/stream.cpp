@@ -10,7 +10,6 @@
 #include "trace/binary_stream.hpp"
 #include "trace/mapped_file.hpp"
 #include "util/error.hpp"
-#include "util/text.hpp"
 
 namespace craysim::trace {
 
@@ -38,12 +37,9 @@ void ParseReport::publish_metrics(obs::MetricsRegistry& registry,
 
 namespace {
 
-constexpr std::string_view kTraceFormatPrefix = "trace format: ";
-
 /// Upper bound on the records in `text`, to reserve a whole trace up front:
-/// one per line, and a record line takes at least 10 bytes with its newline
-/// (five one-digit fields, compression being three), so a run of blank lines
-/// cannot inflate the reservation.
+/// one per line, and no record line is shorter than 10 bytes with its
+/// newline, so a run of blank lines cannot inflate the reservation.
 std::size_t record_capacity(std::string_view text) {
   const auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
   return std::min(lines, text.size() / 10 + 1);
@@ -63,10 +59,10 @@ std::optional<TraceRecord> decode_with_policy(AsciiTraceDecoder& decoder, std::s
     }
   } catch (const TraceFormatError& e) {
     if (!recovery) {
-      // e.what() already starts with TraceFormatError's "trace format: ";
-      // the rethrow puts the line number after that prefix, not a second one.
-      std::string_view detail = e.what();
-      if (starts_with(detail, kTraceFormatPrefix)) detail.remove_prefix(kTraceFormatPrefix.size());
+      // The rethrow puts the line number after e.what()'s prefix, which the
+      // new error adds again.
+      const std::string_view detail =
+          std::string_view(e.what()).substr(TraceFormatError::kPrefix.size());
       throw TraceFormatError("line " + std::to_string(line_number) + ": " + std::string(detail));
     }
     // decode_line only commits decoder state after a full successful decode,

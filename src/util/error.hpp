@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace craysim {
 
@@ -16,7 +17,10 @@ class Error : public std::runtime_error {
 /// Malformed trace text, impossible compression state, bad flag combination.
 class TraceFormatError : public Error {
  public:
-  explicit TraceFormatError(const std::string& what) : Error("trace format: " + what) {}
+  /// What every message starts with.
+  static constexpr std::string_view kPrefix = "trace format: ";
+
+  explicit TraceFormatError(const std::string& what) : Error(std::string(kPrefix) + what) {}
 };
 
 /// Invalid configuration (negative cache size, zero-length file, ...).
