@@ -58,7 +58,6 @@ const std::uint32_t* CompressionState::last_file_of(std::uint32_t pid) const {
 
 CompressionState::File* CompressionState::file(std::uint32_t pid, std::uint32_t file_id) {
   const std::uint64_t key = file_key(pid, file_id);
-  if (finger_.file != nullptr && finger_.key == key) return finger_.file;
   const auto it = files_.find(key);
   return it == files_.end() ? nullptr : &it->second;
 }
@@ -77,8 +76,6 @@ void CompressionState::commit(const TraceRecord& record, File* state) {
   state->last_length = record.length;
   state->last_operation_id = record.operation_id;
   state->has_operation = true;
-  finger_.key = key;
-  finger_.file = state;
 }
 
 void CompressionState::reset() {
@@ -88,7 +85,6 @@ void CompressionState::reset() {
   previous_file_ = 0;
   last_file_by_process_.clear();
   files_.clear();
-  finger_.file = nullptr;
 }
 
 std::string AsciiTraceEncoder::encode(const TraceRecord& record) {

@@ -32,10 +32,9 @@ namespace craysim::trace {
 /// process, each process's last file, and per (process, file) the next
 /// sequential offset, last length and last operation id.
 ///
-/// Most records continue the previous one (same process, usually the same
-/// file), so the state keeps a finger on the previous record: its file, and
-/// a pointer to its file's entry. Lookups check the finger before hashing.
-/// Entries live in node-based maps, whose element pointers survive a rehash.
+/// The previous process's last file is kept beside the map, and commit()
+/// reuses the entry file() found, so a record by the previous record's
+/// process, to a file it has used before, costs one hash lookup.
 class CompressionState {
  public:
   struct File {
@@ -64,21 +63,6 @@ class CompressionState {
   void reset();
 
  private:
-  /// A cached entry of files_. The entry belongs to the map it came from, so
-  /// a copy or move leaves both sides without one.
-  struct Finger {
-    std::uint64_t key = 0;
-    File* file = nullptr;
-
-    Finger() = default;
-    Finger(const Finger&) noexcept {}
-    Finger(Finger&& other) noexcept { other.file = nullptr; }
-    Finger& operator=(Finger /*copied or moved from*/) noexcept {
-      file = nullptr;
-      return *this;
-    }
-  };
-
   bool has_previous_ = false;
   Ticks previous_start_;
   std::uint32_t previous_process_ = 0;
@@ -87,7 +71,6 @@ class CompressionState {
   /// previous_file_; commit() writes it back when the process changes.
   std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
   std::unordered_map<std::uint64_t, File> files_;  // key: pid<<32|fileId
-  Finger finger_;
 };
 
 /// Stateful encoder: feed records carrying ABSOLUTE start times; emits

@@ -212,34 +212,6 @@ TEST(Decoder, ResetForgetsState) {
   EXPECT_EQ(decoder.comment_count(), 0);
 }
 
-TEST(Decoder, CopiesAndMovesKeepTheirOwnState) {
-  // The relative-field state caches a pointer to the previous record's file
-  // entry; a copy must not write through it into the original's entry.
-  const std::string sequential = "128 236 10 5 5";  // every compressible field omitted
-  AsciiTraceDecoder original;
-  ASSERT_TRUE(original.decode_line("128 0 0 100 10 5 1 1 7 5").has_value());
-  AsciiTraceDecoder copy = original;
-  EXPECT_EQ(copy.decode_line(sequential)->offset, 100);
-  EXPECT_EQ(copy.decode_line(sequential)->offset, 200);
-  EXPECT_EQ(original.decode_line(sequential)->offset, 100);
-
-  AsciiTraceDecoder moved = std::move(copy);
-  EXPECT_EQ(moved.decode_line(sequential)->offset, 300);
-  copy = original;
-  EXPECT_EQ(copy.decode_line(sequential)->offset, 200);
-  EXPECT_EQ(moved.decode_line(sequential)->offset, 400);
-  EXPECT_EQ(original.decode_line(sequential)->offset, 200);
-}
-
-TEST(Encoder, CopyEncodesLikeTheOriginal) {
-  AsciiTraceEncoder original;
-  (void)original.encode(make_record(5, 9, 0, 4096, Ticks(50)));
-  AsciiTraceEncoder copy = original;
-  const auto next = make_record(5, 9, 4096, 4096, Ticks(80));
-  EXPECT_EQ(copy.encode(next), "128 236 30 30 100");
-  EXPECT_EQ(original.encode(next), "128 236 30 30 100");
-}
-
 // --- property: random traces round-trip exactly ----------------------------
 
 class CodecRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
