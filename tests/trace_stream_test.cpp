@@ -63,26 +63,12 @@ TEST(TraceWriterReader, StreamInterface) {
 }
 
 TEST(TraceReader, ReportsLineNumberOnError) {
-  std::stringstream buffer("255 fine\nnot a record\n");
-  TraceReader reader(buffer);
-  try {
-    (void)reader.next();
-    FAIL() << "expected TraceFormatError";
-  } catch (const TraceFormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
-}
-
-TEST(TraceReader, StrictErrorCarriesOnePrefixAndTheLineNumber) {
-  const std::string text =
-      "255 header\n128 0 0 100 10 5 1 1 7 5\n\n255 note\n128 0 0 100 10 5 1 1 7\n";
-  const std::string expected =
-      "trace format: line 5: missing field 'processTime' in: 128 0 0 100 10 5 1 1 7";
+  const std::string text = "255 fine\nnot a record\n";
+  const std::string expected = "trace format: line 2: unparseable record type: 'not'";
   std::stringstream buffer(text);
   TraceReader reader(buffer);
   try {
-    while (reader.next()) {
-    }
+    (void)reader.next();
     FAIL() << "expected TraceFormatError";
   } catch (const TraceFormatError& e) {
     EXPECT_EQ(std::string(e.what()), expected);
