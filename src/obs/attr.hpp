@@ -7,9 +7,10 @@
 // time into queue / controller / seek / rotation / transfer / fault parts,
 // then accumulates them here. The ledger is fixed-size (per-file, per-process,
 // per-app-phase, and per-request-size tables with bounded slot counts plus an
-// overflow row), all counters are relaxed atomics on cache-line-separated
-// rows, so the live telemetry plane can scrape /attribution mid-run without
-// locks or races while the simulator keeps writing.
+// overflow row) and takes one writer at a time. Its counters are atomics
+// that the writer updates with relaxed loads and stores, so the live
+// telemetry plane can scrape /attribution mid-run without locks or races
+// while the simulator keeps writing.
 //
 // Conservation contract (enforced by debug asserts and pinned by tests):
 //   * per op: the component ticks sum exactly to the op's measured latency
@@ -191,13 +192,15 @@ void publish_attr_metrics(const AttrSummary& summary, MetricsRegistry& registry,
 
 // ---- The ledger ------------------------------------------------------------
 
-/// Fixed-size, lock-free blame accumulator. Writers (the simulator) add with
-/// relaxed atomics into cache-line-separated rows; readers (the telemetry
-/// server thread) snapshot with relaxed loads, so concurrent scrapes are
-/// TSan-clean by construction and see a consistent-enough in-progress view
-/// (monotonic counters, like the rest of the live plane). Multiple
-/// simulators may share one ledger — every update is a CAS-claimed slot plus
-/// atomic adds — though sweeps normally give each point its own.
+/// Fixed-size, lock-free blame accumulator with a single writer. The writer
+/// (one simulator run) adds into each counter with a relaxed load and store,
+/// not a locked read-modify-write, so two writers at once would lose counts.
+/// Simulator::run() therefore holds the ledger's writer claim
+/// (try_claim_writer()) for its whole run and fails with ConfigError when
+/// another run holds it; a sweep gives each point its own ledger. Readers
+/// (the telemetry server thread) snapshot with relaxed loads, so concurrent
+/// scrapes are TSan-clean by construction and see a consistent-enough
+/// in-progress view (monotonic counters, like the rest of the live plane).
 class AttributionLedger {
  public:
   /// What the simulator commits once per finished logical request.
@@ -219,6 +222,16 @@ class AttributionLedger {
   /// before or during the run. Takes a small mutex — never on the op path.
   void note_process(std::uint32_t pid, std::string name);
 
+  /// Takes the single writer claim; false when another writer holds it.
+  [[nodiscard]] bool try_claim_writer() {
+    return !writer_.exchange(true, std::memory_order_acquire);
+  }
+  /// Gives the writer claim back (the writer's last update happens-before
+  /// the next writer's claim).
+  void release_writer() { writer_.store(false, std::memory_order_release); }
+
+  /// Writer-only: the caller holds the writer claim (or is the ledger's only
+  /// user, as in a single-threaded test).
   void record_op(const OpRecord& op);
   void record_disk(AttrDiskKind kind, Bytes bytes, const AttrDiskBreakdown& breakdown);
 
@@ -240,8 +253,9 @@ class AttributionLedger {
   static constexpr std::size_t kProcSlots = 32;
 
  private:
-  /// One accumulation row. alignas(64) keeps concurrently-updated rows on
-  /// separate cache lines; `key` is the slot claim (0 = empty, else key + 1).
+  /// One accumulation row. alignas(64) keeps rows, and so the ledgers of
+  /// points running side by side, on separate cache lines; `key` is the
+  /// slot claim (0 = empty, else key + 1).
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> key{0};
     std::atomic<std::int64_t> ops{0};
@@ -278,6 +292,7 @@ class AttributionLedger {
 
   mutable std::mutex label_mutex_;  ///< guards labels_ only (never the op path)
   std::vector<std::pair<std::uint32_t, std::string>> labels_;
+  std::atomic<bool> writer_{false};  ///< the single writer claim
 };
 
 }  // namespace craysim::obs

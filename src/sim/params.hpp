@@ -121,9 +121,11 @@ struct SimParams {
   /// The sampling handler observes state without mutating it, so results
   /// stay bit-identical either way.
   Ticks counter_interval = Ticks::zero();
-  /// Latency attribution sink (non-owning; must outlive the simulator; safe
-  /// to share between concurrently running simulators — the ledger is
-  /// multi-writer). When set, the simulator decomposes every request's
+  /// Latency attribution sink (non-owning; must outlive the simulator). The
+  /// ledger takes one writer at a time: run() holds its writer claim
+  /// throughout and throws ConfigError if another running simulator holds
+  /// it, so concurrent simulators each need their own ledger (a sweep gives
+  /// every point one). When set, the simulator decomposes every request's
   /// latency into additive components and every disk transfer's service time
   /// into queue/seek/rotation/transfer/fault parts, accumulated in the
   /// ledger's fixed-size blame tables (see obs/attr.hpp, including the

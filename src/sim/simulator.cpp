@@ -10,6 +10,32 @@
 
 namespace craysim::sim {
 
+namespace {
+
+/// Holds the attribution ledger's writer claim for one run() and gives it
+/// back on every exit. The ledger takes one writer at a time, so a second
+/// simulator writing it at once fails here instead of losing counts.
+class LedgerWriter {
+ public:
+  explicit LedgerWriter(obs::AttributionLedger* ledger) : ledger_(ledger) {
+    if (ledger_ != nullptr && !ledger_->try_claim_writer()) {
+      throw ConfigError(
+          "attribution ledger is already written by a running simulator "
+          "(a ledger takes one writer at a time)");
+    }
+  }
+  ~LedgerWriter() {
+    if (ledger_ != nullptr) ledger_->release_writer();
+  }
+  LedgerWriter(const LedgerWriter&) = delete;
+  LedgerWriter& operator=(const LedgerWriter&) = delete;
+
+ private:
+  obs::AttributionLedger* ledger_;
+};
+
+}  // namespace
+
 const char* Simulator::io_kind_name(IoOp::Kind kind) {
   switch (kind) {
     case IoOp::Kind::kFetch: return "fetch";
@@ -129,6 +155,18 @@ void Simulator::push_event(Ticks time, EventKind kind, std::uint64_t arg) {
   std::push_heap(events_.begin(), events_.end(), std::greater<>{});
 }
 
+void Simulator::poll_cancel() {
+  if (params_.cancel == nullptr || --cancel_countdown_ != 0) return;
+  cancel_countdown_ = kCancelStride;
+  if (params_.cancel->cancelled()) {
+    throw CancelledError("simulation abandoned at t=" + std::to_string(now_.seconds()) +
+                         " s (" +
+                         (params_.cancel->deadline_expired() ? "deadline expired"
+                                                             : "cancel requested") +
+                         ")");
+  }
+}
+
 void Simulator::emit_span_metadata() {
   spans_->name_process(obs::track::kProcesses, "processes (sim time)");
   spans_->name_process(obs::track::kDisks, "disks");
@@ -176,6 +214,7 @@ void Simulator::note_evictions(std::int64_t before, Ticks t) {
 
 SimResult Simulator::run() {
   if (procs_.empty()) throw ConfigError("simulation has no processes");
+  const LedgerWriter writer(attr_);
   if (spans_) emit_span_metadata();
   if (attr_) {
     // Register labels up front so a live mid-run scrape resolves names.
@@ -193,41 +232,23 @@ SimResult Simulator::run() {
     ready_.push_back(proc.pid);
   }
   push_event(Ticks::zero(), EventKind::kDispatch, 0);
-  push_event(params_.cache.flush_period, EventKind::kFlushTick, 0);
+  // Without a cache the flush tick would only reschedule itself.
+  if (cache_) push_event(params_.cache.flush_period, EventKind::kFlushTick, 0);
   if (spans_ && params_.counter_interval > Ticks::zero()) {
     emit_counter_sample(Ticks::zero());
     push_event(params_.counter_interval, EventKind::kCounterTick, 0);
   }
 
-  // Safety valve against configuration bugs: no workload in this study runs
-  // longer than a few simulated hours.
-  const Ticks wall_limit = Ticks::from_seconds(1e6);
-
-  // Cooperative cancellation: poll the token once per kCancelStride events.
-  // The stride keeps the steady_clock read off the per-event path; with no
-  // token the whole mechanism is one predicted branch per event.
-  constexpr std::uint32_t kCancelStride = 4096;
-  std::uint32_t cancel_countdown = kCancelStride;
-
   // Run until every process has finished AND the cache has drained its
   // dirty data (write-behind means data can outlive its writer).
   while (!events_.empty() && !drained()) {
-    if (params_.cancel != nullptr && --cancel_countdown == 0) {
-      cancel_countdown = kCancelStride;
-      if (params_.cancel->cancelled()) {
-        throw CancelledError("simulation abandoned at t=" +
-                             std::to_string(now_.seconds()) + " s (" +
-                             (params_.cancel->deadline_expired() ? "deadline expired"
-                                                                 : "cancel requested") +
-                             ")");
-      }
-    }
+    poll_cancel();
     std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
     const Event event = events_.back();
     events_.pop_back();
     assert(event.time >= now_);
     now_ = event.time;
-    if (now_ > wall_limit) throw Error("simulation exceeded wall-clock safety limit");
+    if (now_ > kWallLimit) throw Error("simulation exceeded wall-clock safety limit");
     switch (event.kind) {
       case EventKind::kDispatch:
         on_dispatch(now_);
@@ -338,7 +359,23 @@ void Simulator::on_slice_end(Ticks now, std::uint32_t pid) {
   if (proc.remaining_compute > Ticks::zero()) {
     // Quantum expired mid-compute.
     if (ready_.empty()) {
-      proc.slice_len = std::min(params_.scheduler.quantum, proc.remaining_compute);
+      // Nothing waits for this CPU, so every further expiry that would be
+      // the heap's next pop anyway (strictly before its front; an equal
+      // time pops the older event first) is accounted here, under the event
+      // loop's cancel and wall-limit guards, instead of as an event. The
+      // final slice (remaining compute <= quantum) stays an event, so
+      // issue_io and finish_process keep one entry point.
+      const Ticks quantum = params_.scheduler.quantum;
+      while (proc.remaining_compute > quantum && now + quantum <= kWallLimit &&
+             (events_.empty() || now + quantum < events_.front().time)) {
+        poll_cancel();
+        now += quantum;
+        now_ = now;
+        result_.cpu_busy += quantum;
+        proc.cpu_done += quantum;
+        proc.remaining_compute -= quantum;
+      }
+      proc.slice_len = std::min(quantum, proc.remaining_compute);
       push_event(now + proc.slice_len, EventKind::kSliceEnd, pid);
     } else {
       proc.state = PState::kReady;
@@ -668,7 +705,7 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
 void Simulator::on_io_done(Ticks now, std::uint64_t op_id) {
   IoOp* found = inflight_.find(op_id);
   if (found == nullptr) return;
-  IoOp op = std::move(*found);
+  IoOp op = std::move(*found);  // erase() shifts entries, so `found` dies with it
   inflight_.erase(op_id);
   if (spans_) spans_->async_end(obs::track::kIoOps, op_id, "io", io_kind_name(op.kind), now);
 
@@ -732,7 +769,7 @@ void Simulator::on_flush_tick(Ticks now) {
   // Periodic flushes honor the delayed-write age; once all processes have
   // finished, drain everything regardless of age.
   const Ticks age = finished_ >= procs_.size() ? Ticks::zero() : params_.cache.delayed_write_age;
-  if (cache_ && cache_->dirty_block_count() > 0) trigger_flush(now, age);
+  if (cache_->dirty_block_count() > 0) trigger_flush(now, age);
   // Keep ticking while the workload runs; afterwards, only until the
   // remaining dirty data has drained to disk.
   if (!drained()) push_event(now + params_.cache.flush_period, EventKind::kFlushTick, 0);

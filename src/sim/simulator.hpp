@@ -125,6 +125,10 @@ class Simulator {
   [[nodiscard]] static const char* io_kind_name(IoOp::Kind kind);
 
   void push_event(Ticks time, EventKind kind, std::uint64_t arg);
+  /// Counts one event against SimParams::cancel's poll stride and throws
+  /// CancelledError once the token fires. run()'s event loop and
+  /// on_slice_end's in-place quantum expiries share the one countdown.
+  void poll_cancel();
   void on_dispatch(Ticks now);
   void on_slice_end(Ticks now, std::uint32_t pid);
   void on_io_done(Ticks now, std::uint64_t op_id);
@@ -172,9 +176,9 @@ class Simulator {
   std::uint64_t submit_bypass(Ticks now, std::uint32_t gfile, Bytes offset, Bytes length,
                               bool write);
   /// The op a submit_* call just placed in inflight_. Asserts it is present:
-  /// FlatMap64 pointers die on the next emplace, so a missing id here means a
-  /// bookkeeping bug that must fail loudly (in debug builds) rather than
-  /// dereference null.
+  /// FlatMap64 pointers die on the next emplace or erase, so a missing id
+  /// here means a bookkeeping bug that must fail loudly (in debug builds)
+  /// rather than dereference null.
   [[nodiscard]] IoOp& just_submitted(std::uint64_t id);
   /// Latency attribution stamping (call sites guard on attr_ != nullptr, so
   /// the off path is one predicted branch). attr_begin opens the record for
@@ -204,6 +208,14 @@ class Simulator {
   // layout details.
   std::vector<Event> events_;
   std::uint64_t next_seq_ = 0;
+  // Safety valve against configuration bugs: no workload in this study runs
+  // longer than a few simulated hours.
+  static constexpr Ticks kWallLimit = Ticks::from_seconds(1e6);
+  // Cooperative cancellation: poll the token once per kCancelStride events.
+  // The stride keeps the steady_clock read off the per-event path; with no
+  // token the whole mechanism is one predicted branch per event.
+  static constexpr std::uint32_t kCancelStride = 4096;
+  std::uint32_t cancel_countdown_ = kCancelStride;
   std::uint64_t next_op_ = 1;
   struct Cpu {
     std::uint32_t running = kNoProcess;

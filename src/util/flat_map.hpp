@@ -1,17 +1,20 @@
-// Open-addressing hash map keyed by uint64, tuned for the simulator hot
-// paths (buffer-cache block index, in-flight I/O table).
+// Open-addressing hash map keyed by uint64, tuned for the simulator's
+// in-flight I/O table (the buffer cache indexes its extents through
+// util::SortedMap64 instead).
 //
 // Compared to std::unordered_map this stores slots in one flat array (no
-// per-node allocation), probes linearly (cache-friendly), and reuses
-// tombstoned slots, so a steady insert/erase workload — exactly what the
-// cache and the in-flight table do millions of times per run — allocates
-// only when the live population grows past the high-water mark.
+// per-node allocation) and probes linearly (cache-friendly). erase() uses
+// backward-shift deletion: the entries after the erased slot that probed
+// past it move back, so the table never holds tombstones. A steady
+// insert/erase workload — exactly what the in-flight table does once per
+// disk transfer — therefore never rehashes; the table allocates only when
+// the live population grows past three quarters of its slots.
 //
 // Contract: pointers returned by find()/emplace() are invalidated by any
-// subsequent emplace() (rehash) — use them immediately, don't hold them.
+// subsequent emplace() (rehash) or erase() (backward shift) — use them
+// immediately, don't hold them.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -45,12 +48,10 @@ class FlatMap64 {
   [[nodiscard]] V* find(std::uint64_t key) {
     if (slots_.empty()) return nullptr;
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    for (;;) {
-      const Slot& slot = slots_[i];
-      if (slot.state == State::kEmpty) return nullptr;
-      if (slot.state == State::kFull && slot.key == key) return &slots_[i].value;
-      i = (i + 1) & mask;
+    for (std::size_t i = home(key, mask);; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (!slot.full) return nullptr;
+      if (slot.key == key) return &slot.value;
     }
   }
   [[nodiscard]] const V* find(std::uint64_t key) const {
@@ -60,100 +61,73 @@ class FlatMap64 {
 
   /// Inserts `key` if absent (value-initialized) and returns its value slot.
   V& emplace(std::uint64_t key) {
-    if (slots_.empty() || (size_ + tombstones_ + 1) * 4 > slots_.size() * 3) {
-      grow();
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
     }
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    std::size_t first_tombstone = kNone;
-    for (;;) {
+    for (std::size_t i = home(key, mask);; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
-      if (slot.state == State::kFull && slot.key == key) return slot.value;
-      if (slot.state == State::kEmpty) {
-        Slot& dest = first_tombstone == kNone ? slot : slots_[first_tombstone];
-        if (first_tombstone != kNone) --tombstones_;
-        dest.state = State::kFull;
-        dest.key = key;
-        dest.value = V{};
+      if (!slot.full) {
+        slot.full = true;
+        slot.key = key;
+        slot.value = V{};
         ++size_;
-        return dest.value;
+        return slot.value;
       }
-      if (slot.state == State::kTombstone && first_tombstone == kNone) first_tombstone = i;
-      i = (i + 1) & mask;
+      if (slot.key == key) return slot.value;
     }
   }
 
   bool erase(std::uint64_t key) {
     if (slots_.empty()) return false;
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    for (;;) {
-      Slot& slot = slots_[i];
-      if (slot.state == State::kEmpty) return false;
-      if (slot.state == State::kFull && slot.key == key) {
-        slot.state = State::kTombstone;
-        slot.value = V{};
-        --size_;
-        ++tombstones_;
-        return true;
+    std::size_t hole = home(key, mask);
+    for (;; hole = (hole + 1) & mask) {
+      if (!slots_[hole].full) return false;
+      if (slots_[hole].key == key) break;
+    }
+    // Backward shift: walk the probe run after the hole and move back every
+    // entry whose probe path crosses it, so find() never meets a gap before
+    // its key.
+    for (std::size_t i = (hole + 1) & mask; slots_[i].full; i = (i + 1) & mask) {
+      const std::size_t want = home(slots_[i].key, mask);
+      if (((hole - want) & mask) < ((i - want) & mask)) {
+        slots_[hole] = std::move(slots_[i]);
+        hole = i;
       }
-      i = (i + 1) & mask;
     }
-  }
-
-  void clear() {
-    for (Slot& slot : slots_) {
-      slot.state = State::kEmpty;
-      slot.value = V{};
-    }
-    size_ = 0;
-    tombstones_ = 0;
-  }
-
-  /// Visits every live entry as fn(key, value&). Must not mutate the map.
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (Slot& slot : slots_) {
-      if (slot.state == State::kFull) fn(slot.key, slot.value);
-    }
+    slots_[hole].full = false;
+    slots_[hole].value = V{};
+    --size_;
+    return true;
   }
 
  private:
-  enum class State : std::uint8_t { kEmpty, kFull, kTombstone };
   struct Slot {
     std::uint64_t key = 0;
     V value{};
-    State state = State::kEmpty;
+    bool full = false;
   };
   static constexpr std::size_t kMinCapacity = 16;
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  void grow() {
-    // Double only when the live population demands it; a tombstone-heavy
-    // table rehashes at the same size, recycling the dead slots.
-    std::size_t cap = slots_.empty() ? kMinCapacity : slots_.size();
-    if ((size_ + 1) * 2 > cap) cap <<= 1;
-    rehash(cap);
+  [[nodiscard]] static std::size_t home(std::uint64_t key, std::size_t mask) {
+    return static_cast<std::size_t>(mix64(key)) & mask;
   }
 
   void rehash(std::size_t new_capacity) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
-    tombstones_ = 0;
     const std::size_t mask = new_capacity - 1;
     for (Slot& slot : old) {
-      if (slot.state != State::kFull) continue;
-      std::size_t i = static_cast<std::size_t>(mix64(slot.key)) & mask;
-      while (slots_[i].state == State::kFull) i = (i + 1) & mask;
-      slots_[i].state = State::kFull;
-      slots_[i].key = slot.key;
-      slots_[i].value = std::move(slot.value);
+      if (!slot.full) continue;
+      std::size_t i = home(slot.key, mask);
+      while (slots_[i].full) i = (i + 1) & mask;
+      slots_[i] = std::move(slot);
     }
   }
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
 };
 
 }  // namespace craysim::util

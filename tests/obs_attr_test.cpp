@@ -1,7 +1,9 @@
 // Latency attribution tests: the conservation contract (components sum to
 // measured latency; every ledger scope closes over the same grand totals;
 // miss + space reproduce the simulator's blocked time; the disk breakdown
-// reproduces DeviceMetrics exactly), the zero-cost off path (bit-identical
+// reproduces DeviceMetrics exactly), the single-writer contract (a second
+// simulator on a held ledger is refused; a concurrent reader sees monotonic
+// totals and changes nothing), the zero-cost off path (bit-identical
 // serialized results and an unchanged metrics schema when
 // SimParams::attribution is unset), the journal round trip, and the pinned
 // JSONL / metric-name schemas consumed by tools/validate_telemetry.py and
@@ -16,10 +18,14 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "util/cancel.hpp"
+#include "util/error.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -236,6 +242,96 @@ TEST(AttrLedger, FileOverflowPoolsIntoOtherRow) {
   EXPECT_TRUE(has_other);
   EXPECT_EQ(scope_ops(summary.files), static_cast<std::int64_t>(files));
   EXPECT_EQ(scope_ticks(summary.files), summary.total.total_ticks);
+}
+
+// ---- Single writer ---------------------------------------------------------
+
+sim::SimResult run_gcm_no_cache(obs::AttributionLedger& ledger,
+                                const util::CancelToken* cancel = nullptr) {
+  sim::SimParams params = sim::SimParams::no_cache();
+  params.attribution = &ledger;
+  params.cancel = cancel;
+  sim::Simulator simulator(params);
+  simulator.add_app(workload::make_profile(workload::AppId::kGcm));
+  return simulator.run();
+}
+
+/// Issues one read; before that, its first next() runs a second simulator on
+/// the same ledger and keeps the error that run threw.
+class NestedRunSource final : public workload::RequestSource {
+ public:
+  explicit NestedRunSource(obs::AttributionLedger& ledger) : ledger_(ledger) {}
+
+  std::optional<workload::Request> next() override {
+    if (!first_) return std::nullopt;
+    first_ = false;
+    sim::SimParams params = sim::SimParams::no_cache();
+    params.attribution = &ledger_;
+    sim::Simulator nested(params);
+    nested.add_process("nested", std::make_unique<ScriptedSource>(std::vector{
+                                     req(0.0, 1, 0, 4096, /*write=*/false)}));
+    try {
+      (void)nested.run();
+    } catch (const ConfigError& error) {
+      nested_error = error.what();
+    }
+    return req(0.0, 1, 0, 4096, /*write=*/false);
+  }
+
+  std::string nested_error;
+
+ private:
+  obs::AttributionLedger& ledger_;
+  bool first_ = true;
+};
+
+TEST(AttrLedger, SecondWriterIsRefused) {
+  obs::AttributionLedger ledger;
+  sim::SimParams params = sim::SimParams::no_cache();
+  params.attribution = &ledger;
+  sim::Simulator outer(params);
+  auto source = std::make_unique<NestedRunSource>(ledger);
+  const NestedRunSource& nested = *source;
+  outer.add_process("outer", std::move(source));
+  const sim::SimResult result = outer.run();
+  EXPECT_NE(nested.nested_error.find("one writer at a time"), std::string::npos)
+      << "nested run saw: '" << nested.nested_error << "'";
+  // Only the outer run wrote: its single op.
+  EXPECT_EQ(result.attr.total.ops, 1);
+
+  // The claim is given back on every exit, a throwing run's included.
+  util::CancelToken token;
+  token.request_cancel();
+  EXPECT_THROW((void)run_gcm_no_cache(ledger, &token), CancelledError);
+  ledger.reset();
+  obs::AttributionLedger fresh;
+  EXPECT_EQ(run_gcm_no_cache(ledger).attr, run_gcm_no_cache(fresh).attr);
+}
+
+// One writer and one concurrent reader: every snapshot's total op count is
+// at least the one before it, and reading changes nothing the writer
+// records. CI runs this under TSan, which polices the writer's relaxed
+// load/store pairs against summarize()'s loads.
+TEST(AttrLedger, SummarizeDuringARunIsMonotonicAndChangesNothing) {
+  obs::AttributionLedger ledger;
+  std::vector<std::int64_t> seen;
+  std::jthread reader([&](const std::stop_token& stop) {
+    do {
+      seen.push_back(ledger.summarize().total.ops);
+    } while (!stop.stop_requested());
+  });
+  const sim::SimResult result = run_gcm_no_cache(ledger);
+  reader.request_stop();
+  reader.join();
+
+  ASSERT_FALSE(seen.empty());
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    ASSERT_LE(seen[i - 1], seen[i]) << "snapshot " << i << " of " << seen.size();
+  }
+  EXPECT_LE(seen.back(), result.attr.total.ops);
+  EXPECT_EQ(ledger.summarize(), result.attr);
+  obs::AttributionLedger unread;
+  EXPECT_EQ(run_gcm_no_cache(unread).attr, result.attr);
 }
 
 // ---- Off-path bit-identity -------------------------------------------------

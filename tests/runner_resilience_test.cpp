@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -200,6 +202,55 @@ TEST(RunnerResilienceTest, SimulatorAbandonsRunWhenCancelled) {
   sim::Simulator simulator(params);
   simulator.add_app(workload::make_profile(workload::AppId::kVenus, 11));
   EXPECT_THROW((void)simulator.run(), CancelledError);
+}
+
+/// One read after `compute` of pure CPU work. Alone on a no-cache
+/// simulator, nearly all of its events are quantum expiries.
+class ComputeThenRead final : public workload::RequestSource {
+ public:
+  explicit ComputeThenRead(Ticks compute) : compute_(compute) {}
+
+  std::optional<workload::Request> next() override {
+    if (issued_) return std::nullopt;
+    issued_ = true;
+    workload::Request request;
+    request.compute = compute_;
+    request.file = 1;
+    request.length = 4096;
+    return request;
+  }
+
+ private:
+  Ticks compute_;
+  bool issued_ = false;
+};
+
+sim::SimResult run_compute_bound(Ticks compute, const util::CancelToken* cancel) {
+  sim::SimParams params = sim::SimParams::no_cache();
+  params.cancel = cancel;
+  sim::Simulator simulator(params);
+  simulator.add_process("cruncher", std::make_unique<ComputeThenRead>(compute));
+  return simulator.run();
+}
+
+// The quantum expiries of a compute-bound process, with no other process
+// and no cache, are accounted without passing through the event heap. They
+// must still count against the cancel poll stride: otherwise a cancelled
+// run computes on to t = 5e4 s instead of stopping.
+TEST(RunnerResilienceTest, CancelStopsAComputeBoundProcess) {
+  util::CancelToken token;
+  token.request_cancel();
+  EXPECT_THROW((void)run_compute_bound(Ticks::from_seconds(5e4), &token), CancelledError);
+}
+
+// ...and they must stop at the 1e6 s simulated-time safety limit.
+TEST(RunnerResilienceTest, WallLimitStopsAComputeBoundProcess) {
+  try {
+    (void)run_compute_bound(Ticks::from_seconds(2e6), nullptr);
+    FAIL() << "2e6 s of compute must trip the 1e6 s safety limit";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "simulation exceeded wall-clock safety limit");
+  }
 }
 
 TEST(RunnerResilienceTest, RetryFollowsThePinnedBackoffSchedule) {

@@ -1,14 +1,16 @@
-// Tests for RNG, statistics, histograms, time series, tables, text, and the
-// sorted map.
+// Tests for RNG, statistics, histograms, time series, tables, text, the
+// sorted map and the flat hash map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/error.hpp"
+#include "util/flat_map.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/sorted_map.hpp"
@@ -396,6 +398,79 @@ TEST(SortedMap64, MatchesStdMap) {
     if (HasFatalFailure()) return;
   }
   EXPECT_FALSE(map.ceil(0).has_value());
+}
+
+// ------------------------------------------------------------ FlatMap64 ---
+
+// Seeded interleavings of emplace, erase and find against
+// std::unordered_map. The key space is small, so the table stays at 16 or
+// 32 slots, and a third of the keys hash to the last slot of a 16-slot
+// table, so probe runs wrap past the table end and erase() shifts entries
+// back across it. After every operation, size() and find() must agree for
+// every key.
+TEST(FlatMap64, MatchesUnorderedMap) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; keys.size() < 8; ++k) {
+    if ((util::mix64(k) & 15) == 15) keys.push_back(k);
+  }
+  for (std::uint64_t k = 1000; keys.size() < 24; ++k) keys.push_back(k);
+
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    util::FlatMap64<std::uint64_t> map;
+    std::unordered_map<std::uint64_t, std::uint64_t> want;
+    Rng rng(seed);
+    for (std::uint64_t step = 1; step <= 2000; ++step) {
+      const std::uint64_t key =
+          keys[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(keys) - 1))];
+      switch (rng.uniform_int(0, 2)) {
+        case 0: {
+          std::uint64_t& value = map.emplace(key);
+          const auto [it, fresh] = want.emplace(key, step);
+          if (fresh) {
+            ASSERT_EQ(value, 0u) << "a re-inserted key must start value-initialized";
+            value = step;
+          }
+          ASSERT_EQ(value, it->second);
+          break;
+        }
+        case 1:
+          ASSERT_EQ(map.erase(key), want.erase(key) == 1) << key;
+          break;
+        default:
+          ASSERT_EQ(map.contains(key), want.count(key) == 1) << key;
+          break;
+      }
+      ASSERT_EQ(map.size(), want.size());
+      for (const std::uint64_t k : keys) {
+        const std::uint64_t* got = map.find(k);
+        const auto it = want.find(k);
+        if (it == want.end()) {
+          ASSERT_EQ(got, nullptr) << "seed " << seed << " step " << step << " key " << k;
+        } else {
+          ASSERT_NE(got, nullptr) << "seed " << seed << " step " << step << " key " << k;
+          ASSERT_EQ(*got, it->second) << "seed " << seed << " step " << step << " key " << k;
+        }
+      }
+    }
+  }
+}
+
+// The in-flight table's pattern: one emplace and one erase per operation id
+// while a long-lived entry stays put.
+TEST(FlatMap64, SteadyChurnKeepsTheLiveKey) {
+  util::FlatMap64<std::uint64_t> map;
+  map.emplace(0) = 42;
+  for (std::uint64_t id = 1; id <= 100000; ++id) {
+    map.emplace(id) = id;
+    ASSERT_EQ(map.size(), 2u);
+    ASSERT_TRUE(map.erase(id)) << id;
+    ASSERT_EQ(map.find(id), nullptr) << id;
+    ASSERT_EQ(map.size(), 1u);
+  }
+  const std::uint64_t* live = map.find(0);
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(*live, 42u);
+  EXPECT_FALSE(map.erase(1));
 }
 
 }  // namespace
