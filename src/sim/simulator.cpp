@@ -42,7 +42,6 @@ const char* Simulator::io_kind_name(IoOp::Kind kind) {
     case IoOp::Kind::kReadAhead: return "readahead";
     case IoOp::Kind::kFlush: return "flush";
     case IoOp::Kind::kWriteThrough: return "writethrough";
-    case IoOp::Kind::kBypass: return "bypass";
   }
   return "io";
 }
@@ -136,7 +135,8 @@ void Simulator::attr_finish(Proc& proc, Ticks end) {
 
 void Simulator::attr_record_disk(IoOp::Kind kind, Bytes bytes,
                                  const obs::AttrDiskBreakdown& breakdown) {
-  // The two kind enums are kept in lockstep so this cast is the whole map.
+  // IoOp::Kind is kept in lockstep with the first four AttrDiskKind values
+  // (bypass transfers record kBypass themselves), so this cast is the map.
   static_assert(static_cast<int>(obs::AttrDiskKind::kFetch) ==
                 static_cast<int>(IoOp::Kind::kFetch));
   static_assert(static_cast<int>(obs::AttrDiskKind::kReadahead) ==
@@ -145,13 +145,12 @@ void Simulator::attr_record_disk(IoOp::Kind kind, Bytes bytes,
                 static_cast<int>(IoOp::Kind::kFlush));
   static_assert(static_cast<int>(obs::AttrDiskKind::kWriteThrough) ==
                 static_cast<int>(IoOp::Kind::kWriteThrough));
-  static_assert(static_cast<int>(obs::AttrDiskKind::kBypass) ==
-                static_cast<int>(IoOp::Kind::kBypass));
   attr_->record_disk(static_cast<obs::AttrDiskKind>(kind), bytes, breakdown);
 }
 
-void Simulator::push_event(Ticks time, EventKind kind, std::uint64_t arg) {
-  events_.push_back(Event{time, next_seq_++, kind, arg});
+void Simulator::push_event(Ticks time, EventKind kind, std::uint64_t arg,
+                           std::uint32_t waiter) {
+  events_.push_back(Event{time, next_seq_++, kind, waiter, arg});
   std::push_heap(events_.begin(), events_.end(), std::greater<>{});
 }
 
@@ -196,12 +195,12 @@ void Simulator::emit_counter_sample(Ticks now) {
                     result_.cache.readahead_fetched_blocks - result_.cache.readahead_used_blocks);
   }
   spans_->counter(obs::track::kIoOps, "inflight_ops", now, "ops",
-                  static_cast<std::int64_t>(inflight_.size()));
+                  static_cast<std::int64_t>(inflight_.size()) + bypass_inflight_);
   disk_->sample_queue_depth_counters(now);
 }
 
 bool Simulator::drained() const {
-  return finished_ >= procs_.size() && inflight_.empty() &&
+  return finished_ >= procs_.size() && inflight_.empty() && bypass_inflight_ == 0 &&
          (!cache_ || cache_->dirty_block_count() == 0);
 }
 
@@ -258,6 +257,9 @@ SimResult Simulator::run() {
         break;
       case EventKind::kIoDone:
         on_io_done(now_, event.arg);
+        break;
+      case EventKind::kBypassDone:
+        on_bypass_done(now_, event.arg, event.waiter);
         break;
       case EventKind::kFlushTick:
         on_flush_tick(now_);
@@ -367,7 +369,7 @@ void Simulator::on_slice_end(Ticks now, std::uint32_t pid) {
       // issue_io and finish_process keep one entry point.
       const Ticks quantum = params_.scheduler.quantum;
       while (proc.remaining_compute > quantum && now + quantum <= kWallLimit &&
-             (events_.empty() || now + quantum < events_.front().time)) {
+             nothing_due_by(now + quantum)) {
         poll_cancel();
         now += quantum;
         now_ = now;
@@ -419,7 +421,9 @@ void Simulator::block_for_io(Ticks now, Proc& proc, std::int32_t waits) {
   if (spans_) {
     spans_->begin(obs::track::kProcesses, proc.pid, "blocked:io", now, {{"waits", waits}});
   }
-  push_event(now, EventKind::kDispatch, 0);
+  // With nothing ready, a dispatch runs nothing unless an event due by now
+  // readies a process before it pops; otherwise it is skipped.
+  if (!ready_.empty() || !nothing_due_by(now)) push_event(now, EventKind::kDispatch, 0);
 }
 
 void Simulator::block_for_space(Ticks now, Proc& proc) {
@@ -437,25 +441,27 @@ void Simulator::block_for_space(Ticks now, Proc& proc) {
   trigger_flush(now);
 }
 
-void Simulator::unblock(Ticks now, std::uint32_t pid, Ticks extra_delay) {
-  Proc& proc = procs_[pid - 1];
+Ticks Simulator::unblock(Ticks now, Proc& proc) {
+  const Ticks wake = now + params_.overhead.interrupt;
+  result_.overhead_time += params_.overhead.interrupt;
   // Clamp: blocked_since carries the fs_call overhead, so an op the process
   // joined (submitted before this request) can complete inside that overhead
   // window — sim-time "before" the block began. The span must not go
   // backwards even then.
   if (spans_) {
-    spans_->end(obs::track::kProcesses, pid, "blocked:io", std::max(now, proc.blocked_since));
+    spans_->end(obs::track::kProcesses, proc.pid, "blocked:io",
+                std::max(now, proc.blocked_since));
   }
   if (attr_ && proc.attr_active) {
     attr_add(proc, obs::AttrComponent::kMiss, now);
-    attr_add(proc, obs::AttrComponent::kInterrupt, now + extra_delay);
-    attr_finish(proc, now + extra_delay);
+    attr_add(proc, obs::AttrComponent::kInterrupt, wake);
+    attr_finish(proc, wake);
   }
   proc.blocked_total += now - proc.blocked_since;
   advance_to_next_request(proc);
   proc.state = PState::kReady;
-  ready_.push_back(pid);
-  push_event(now + extra_delay, EventKind::kDispatch, 0);
+  ready_.push_back(proc.pid);
+  return wake;
 }
 
 void Simulator::record_request(Ticks now, std::uint32_t pid, const workload::Request& req,
@@ -485,8 +491,8 @@ void Simulator::record_disk_traffic(Ticks start, Ticks done, Bytes bytes, bool w
       .add_spread(start, done - start, amount);
 }
 
-void Simulator::submit_run_with_id(std::uint64_t id, Ticks now, const BlockRun& run, bool write,
-                                   IoOp::Kind kind, std::uint32_t sync_waiter) {
+void Simulator::submit_run(std::uint64_t id, Ticks now, const BlockRun& run, bool write,
+                           IoOp::Kind kind, std::uint32_t sync_waiter) {
   const Bytes bs = cache_->block_size();
   obs::AttrDiskBreakdown breakdown;
   const Ticks done = disk_->submit(now, run.file, run.first_block * bs, run.bytes(bs), write,
@@ -499,7 +505,6 @@ void Simulator::submit_run_with_id(std::uint64_t id, Ticks now, const BlockRun& 
   IoOp op;
   op.kind = kind;
   op.run = run;
-  op.notify_cache = true;
   if (sync_waiter != kNoProcess) op.waiters.push_back(sync_waiter);
   inflight_.emplace(id) = std::move(op);
   if (spans_) {
@@ -510,40 +515,30 @@ void Simulator::submit_run_with_id(std::uint64_t id, Ticks now, const BlockRun& 
   push_event(done, EventKind::kIoDone, id);
 }
 
-std::uint64_t Simulator::submit_run(Ticks now, const BlockRun& run, bool write,
-                                    IoOp::Kind kind) {
-  const std::uint64_t id = next_op_++;
-  submit_run_with_id(id, now, run, write, kind, kNoProcess);
-  return id;
-}
-
-Simulator::IoOp& Simulator::just_submitted(std::uint64_t id) {
-  IoOp* op = inflight_.find(id);
-  assert(op != nullptr && "just-submitted op must still be inflight");
-  return *op;
-}
-
-std::uint64_t Simulator::submit_bypass(Ticks now, std::uint32_t gfile, Bytes offset, Bytes length,
-                                       bool write) {
+void Simulator::bypass_cache(Ticks t, Proc& proc, const workload::Request& req,
+                             std::uint32_t gfile) {
+  record_request(t, proc.pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
   const std::uint64_t id = next_op_++;
   obs::AttrDiskBreakdown breakdown;
-  const Ticks done = disk_->submit(now, gfile, offset, length, write,
+  const Ticks done = disk_->submit(t, gfile, req.offset, req.length, req.write,
                                    attr_ ? &breakdown : nullptr);
   if (attr_) {
-    assert(breakdown.total() == done - now && "disk breakdown must sum to service time");
-    attr_record_disk(IoOp::Kind::kBypass, length, breakdown);
+    assert(breakdown.total() == done - t && "disk breakdown must sum to service time");
+    attr_->record_disk(obs::AttrDiskKind::kBypass, req.length, breakdown);
   }
-  record_disk_traffic(now, done, length, write);
-  IoOp op;
-  op.kind = IoOp::Kind::kBypass;
-  op.notify_cache = false;
-  inflight_.emplace(id) = std::move(op);
+  record_disk_traffic(t, done, req.length, req.write);
+  ++bypass_inflight_;
   if (spans_) {
-    spans_->async_begin(obs::track::kIoOps, id, "io", "bypass", now,
-                        {{"file", static_cast<std::int64_t>(gfile)}, {"bytes", length}});
+    spans_->async_begin(obs::track::kIoOps, id, "io", "bypass", t,
+                        {{"file", static_cast<std::int64_t>(gfile)}, {"bytes", req.length}});
   }
-  push_event(done, EventKind::kIoDone, id);
-  return id;
+  push_event(done, EventKind::kBypassDone, id, req.async ? kNoProcess : proc.pid);
+  if (req.async) {
+    if (attr_) attr_finish(proc, t);
+    continue_running(t, proc.pid, Ticks::zero());
+  } else {
+    block_for_io(t, proc, 1);
+  }
 }
 
 void Simulator::issue_io(Ticks now, std::uint32_t pid) {
@@ -570,15 +565,7 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
   // --- No cache configured: straight to disk. -----------------------------
   if (!cache_) {
     account();
-    record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-    const std::uint64_t id = submit_bypass(t, gfile, req.offset, req.length, req.write);
-    if (req.async) {
-      if (attr_) attr_finish(proc, t);
-      continue_running(t, pid, Ticks::zero());
-    } else {
-      just_submitted(id).waiters.push_back(pid);
-      block_for_io(t, proc, 1);
-    }
+    bypass_cache(t, proc, req, gfile);
     return;
   }
 
@@ -597,14 +584,7 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
     account();
     note_evictions(evictions_before, t);
     if (plan.bypass) {
-      record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-      const std::uint64_t id = submit_bypass(t, gfile, req.offset, req.length, false);
-      if (req.async) {
-        continue_running(t, pid, Ticks::zero());
-      } else {
-        just_submitted(id).waiters.push_back(pid);
-        block_for_io(t, proc, 1);
-      }
+      bypass_cache(t, proc, req, gfile);
       return;
     }
     record_request(t, pid, req, /*cache_miss=*/!plan.full_hit, plan.readahead_hit);
@@ -612,8 +592,8 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
     std::int32_t waits = 0;
     for (std::size_t i = 0; i < plan.fetch_runs.size(); ++i) {
       // Submit under the id the cache tagged the run's blocks with.
-      submit_run_with_id(first_op + i, t, plan.fetch_runs[i], /*write=*/false,
-                         IoOp::Kind::kFetch, req.async ? kNoProcess : pid);
+      submit_run(first_op + i, t, plan.fetch_runs[i], /*write=*/false, IoOp::Kind::kFetch,
+                 req.async ? kNoProcess : pid);
       if (!req.async) ++waits;
     }
     if (!req.async) {
@@ -629,7 +609,7 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
       const std::int64_t ra_evictions_before = spans_ ? result_.cache.evictions : 0;
       if (auto run = cache_->try_issue_readahead(pid, *plan.readahead, ra_id)) {
         ++next_op_;
-        submit_run_with_id(ra_id, t, *run, /*write=*/false, IoOp::Kind::kReadAhead, kNoProcess);
+        submit_run(ra_id, t, *run, /*write=*/false, IoOp::Kind::kReadAhead, kNoProcess);
       }
       note_evictions(ra_evictions_before, t);
     }
@@ -662,15 +642,7 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
   account();
   note_evictions(evictions_before, t);
   if (plan.bypass) {
-    record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-    const std::uint64_t id = submit_bypass(t, gfile, req.offset, req.length, true);
-    if (req.async) {
-      if (attr_) attr_finish(proc, t);
-      continue_running(t, pid, Ticks::zero());
-    } else {
-      just_submitted(id).waiters.push_back(pid);
-      block_for_io(t, proc, 1);
-    }
+    bypass_cache(t, proc, req, gfile);
     return;
   }
   if (plan.absorbed) {
@@ -688,11 +660,9 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
   record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
   std::int32_t waits = 0;
   for (const BlockRun& run : plan.writethrough_runs) {
-    const std::uint64_t id = submit_run(t, run, /*write=*/true, IoOp::Kind::kWriteThrough);
-    if (!req.async) {
-      just_submitted(id).waiters.push_back(pid);
-      ++waits;
-    }
+    submit_run(next_op_++, t, run, /*write=*/true, IoOp::Kind::kWriteThrough,
+               req.async ? kNoProcess : pid);
+    if (!req.async) ++waits;
   }
   if (waits == 0) {
     if (attr_) attr_finish(proc, t);
@@ -709,27 +679,38 @@ void Simulator::on_io_done(Ticks now, std::uint64_t op_id) {
   inflight_.erase(op_id);
   if (spans_) spans_->async_end(obs::track::kIoOps, op_id, "io", io_kind_name(op.kind), now);
 
-  if (cache_ && op.notify_cache) {
-    switch (op.kind) {
-      case IoOp::Kind::kFetch:
-      case IoOp::Kind::kReadAhead:
-        cache_->fetch_complete(op.run);
-        break;
-      case IoOp::Kind::kFlush:
-      case IoOp::Kind::kWriteThrough:
-        cache_->flush_complete(op.run);
-        break;
-      case IoOp::Kind::kBypass:
-        break;
-    }
+  if (op.kind == IoOp::Kind::kFetch || op.kind == IoOp::Kind::kReadAhead) {
+    cache_->fetch_complete(op.run);
+  } else {
+    cache_->flush_complete(op.run);
   }
   for (const std::uint32_t pid : op.waiters) {
     Proc& proc = procs_[pid - 1];
     if (proc.state != PState::kBlockedIo) continue;
-    if (--proc.wait_count == 0) {
-      result_.overhead_time += params_.overhead.interrupt;
-      unblock(now, pid, params_.overhead.interrupt);
+    if (--proc.wait_count == 0) push_event(unblock(now, proc), EventKind::kDispatch, 0);
+  }
+  wake_space_waiters(now);
+}
+
+void Simulator::on_bypass_done(Ticks now, std::uint64_t op_id, std::uint32_t waiter) {
+  --bypass_inflight_;
+  if (spans_) spans_->async_end(obs::track::kIoOps, op_id, "io", "bypass", now);
+  if (waiter != kNoProcess) {
+    Proc& proc = procs_[waiter - 1];
+    assert(proc.state == PState::kBlockedIo && proc.wait_count == 1);
+    proc.wait_count = 0;
+    const Ticks wake = unblock(now, proc);
+    // The dispatch runs in place when it would be the heap's next pop: no
+    // space waiter is woken below (that pushes an earlier dispatch), nothing
+    // else is due by `wake`, and `wake` is within the wall limit. Like an
+    // in-place quantum expiry it counts against the cancel countdown.
+    if (space_waiters_.empty() && wake <= kWallLimit && nothing_due_by(wake)) {
+      poll_cancel();
+      now_ = wake;
+      on_dispatch(wake);
+      return;
     }
+    push_event(wake, EventKind::kDispatch, 0);
   }
   wake_space_waiters(now);
 }
@@ -757,7 +738,7 @@ void Simulator::trigger_flush(Ticks now, Ticks min_age) {
   const auto runs = cache_->collect_flush_batch(params_.cache.max_flush_batch_blocks,
                                                 params_.cache.max_flush_run_blocks, now, min_age);
   for (const BlockRun& run : runs) {
-    submit_run(now, run, /*write=*/true, IoOp::Kind::kFlush);
+    submit_run(next_op_++, now, run, /*write=*/true, IoOp::Kind::kFlush, kNoProcess);
   }
   if (spans_) {
     spans_->counter(obs::track::kCache, "dirty_blocks", now, "blocks",

@@ -51,11 +51,17 @@ class Simulator {
   /// Runs to completion of all processes and returns the metrics.
   [[nodiscard]] SimResult run();
 
+  /// Events run() pushed onto its event heap: a deterministic count of the
+  /// engine's work, kept out of SimResult. Work accounted in place (quantum
+  /// expiries, dispatches after a bypass transfer) is not counted.
+  [[nodiscard]] std::uint64_t events_scheduled() const { return next_seq_; }
+
  private:
   enum class EventKind : std::uint8_t {
     kDispatch,
     kSliceEnd,
     kIoDone,
+    kBypassDone,  ///< a transfer that skipped the cache; it has no inflight_ entry
     kFlushTick,
     kCounterTick,  ///< periodic telemetry sample; never mutates sim state
   };
@@ -63,7 +69,8 @@ class Simulator {
     Ticks time;
     std::uint64_t seq;
     EventKind kind;
-    std::uint64_t arg;  ///< pid for kSliceEnd, op id for kIoDone
+    std::uint32_t waiter;  ///< kBypassDone: the process blocked on it, or kNoProcess
+    std::uint64_t arg;  ///< pid for kSliceEnd, op id for kIoDone and kBypassDone
     bool operator>(const Event& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
@@ -109,11 +116,12 @@ class Simulator {
     std::array<std::int64_t, obs::kAttrOpComponents> attr_comp{};
   };
 
+  /// A cache transfer in flight. Bypass transfers take no entry: their
+  /// kBypassDone event carries everything their completion needs.
   struct IoOp {
-    enum class Kind : std::uint8_t { kFetch, kReadAhead, kFlush, kWriteThrough, kBypass };
+    enum class Kind : std::uint8_t { kFetch, kReadAhead, kFlush, kWriteThrough };
     Kind kind = Kind::kFetch;
-    BlockRun run;        ///< meaningless for kBypass
-    bool notify_cache = true;
+    BlockRun run;
     // Almost every op has zero or one waiter; inline storage avoids a heap
     // allocation per submitted I/O.
     util::SmallVec<std::uint32_t, 2> waiters;
@@ -124,23 +132,38 @@ class Simulator {
   /// Span name for an I/O operation kind ("fetch", "flush", ...).
   [[nodiscard]] static const char* io_kind_name(IoOp::Kind kind);
 
-  void push_event(Ticks time, EventKind kind, std::uint64_t arg);
+  void push_event(Ticks time, EventKind kind, std::uint64_t arg,
+                  std::uint32_t waiter = kNoProcess);
+  /// True when an event pushed now for `time` would be the heap's next pop:
+  /// every queued event is due strictly later (an equal time pops the older
+  /// event first).
+  [[nodiscard]] bool nothing_due_by(Ticks time) const {
+    return events_.empty() || time < events_.front().time;
+  }
   /// Counts one event against SimParams::cancel's poll stride and throws
-  /// CancelledError once the token fires. run()'s event loop and
-  /// on_slice_end's in-place quantum expiries share the one countdown.
+  /// CancelledError once the token fires. run()'s event loop, on_slice_end's
+  /// in-place quantum expiries and on_bypass_done's in-place dispatches share
+  /// the one countdown.
   void poll_cancel();
   void on_dispatch(Ticks now);
   void on_slice_end(Ticks now, std::uint32_t pid);
   void on_io_done(Ticks now, std::uint64_t op_id);
+  void on_bypass_done(Ticks now, std::uint64_t op_id, std::uint32_t waiter);
   void on_flush_tick(Ticks now);
   void on_counter_tick(Ticks now);
 
   void issue_io(Ticks now, std::uint32_t pid);
+  /// Sends `req` straight to disk (no cache, or larger than the cache), then
+  /// blocks `proc` on it or, for an async request, keeps it running.
+  void bypass_cache(Ticks t, Proc& proc, const workload::Request& req, std::uint32_t gfile);
   void continue_running(Ticks now, std::uint32_t pid, Ticks extra_stall);
   void advance_to_next_request(Proc& proc);
   void block_for_io(Ticks now, Proc& proc, std::int32_t waits);
   void block_for_space(Ticks now, Proc& proc);
-  void unblock(Ticks now, std::uint32_t pid, Ticks extra_delay);
+  /// Readies `proc`, whose last awaited transfer completed at `now`, and
+  /// charges the interrupt; returns the time its dispatch is due. The caller
+  /// schedules (or runs) that dispatch.
+  [[nodiscard]] Ticks unblock(Ticks now, Proc& proc);
   void finish_process(Ticks now, Proc& proc);
   void trigger_flush(Ticks now, Ticks min_age = Ticks::zero());
   void wake_space_waiters(Ticks now);
@@ -159,7 +182,7 @@ class Simulator {
   /// ops, and per-disk queue depth. Read-only over sim state: inserting or
   /// removing samples must never change the simulation outcome.
   void emit_counter_sample(Ticks now);
-  /// All processes done, no inflight I/O, cache drained — the run() loop's
+  /// All processes done, no transfer in flight, cache drained — the run() loop's
   /// exit condition, also used to stop self-rescheduling ticks.
   [[nodiscard]] bool drained() const;
 
@@ -167,19 +190,11 @@ class Simulator {
   /// Appends an annotated logical record when SimParams::record_trace.
   void record_request(Ticks now, std::uint32_t pid, const workload::Request& req,
                       bool cache_miss, bool readahead_hit);
-  /// Issues one disk transfer for a block run; returns the op id.
-  std::uint64_t submit_run(Ticks now, const BlockRun& run, bool write, IoOp::Kind kind);
-  /// Same, but under a caller-chosen op id (fetch runs must carry the id the
-  /// cache tagged their blocks with).
-  void submit_run_with_id(std::uint64_t id, Ticks now, const BlockRun& run, bool write,
-                          IoOp::Kind kind, std::uint32_t sync_waiter);
-  std::uint64_t submit_bypass(Ticks now, std::uint32_t gfile, Bytes offset, Bytes length,
-                              bool write);
-  /// The op a submit_* call just placed in inflight_. Asserts it is present:
-  /// FlatMap64 pointers die on the next emplace or erase, so a missing id
-  /// here means a bookkeeping bug that must fail loudly (in debug builds)
-  /// rather than dereference null.
-  [[nodiscard]] IoOp& just_submitted(std::uint64_t id);
+  /// Issues one disk transfer for a cache block run under op id `id` (fetch
+  /// runs carry the id the cache tagged their blocks with); `sync_waiter`,
+  /// unless kNoProcess, waits on it.
+  void submit_run(std::uint64_t id, Ticks now, const BlockRun& run, bool write,
+                  IoOp::Kind kind, std::uint32_t sync_waiter);
   /// Latency attribution stamping (call sites guard on attr_ != nullptr, so
   /// the off path is one predicted branch). attr_begin opens the record for
   /// `proc`'s pending request — or, on a space-wait retry re-entry, charges
@@ -226,6 +241,7 @@ class Simulator {
   std::deque<std::uint32_t> ready_;
   std::vector<std::uint32_t> space_waiters_;
   util::FlatMap64<IoOp> inflight_;
+  std::int64_t bypass_inflight_ = 0;  ///< bypass transfers not yet complete
   std::unique_ptr<DiskModel> disk_;
   std::unique_ptr<BufferCache> cache_;
   SimResult result_;

@@ -12,8 +12,9 @@ namespace craysim::sim {
 DiskModel::DiskModel(const DiskParams& params, const PositionParams& position,
                      std::int32_t disk_count, bool queueing, std::uint64_t seed,
                      const faults::FaultPlan& plan)
-    : params_(params), position_(position), queueing_(queueing), rng_(seed),
-      online_count_(disk_count) {
+    : params_(params), position_(position),
+      bytes_per_tick_(params.bandwidth_mb_s * 1e6 / 100'000.0), queueing_(queueing),
+      rng_(seed), online_count_(disk_count) {
   if (disk_count < 1) throw ConfigError("disk_count must be >= 1");
   if (params_.bandwidth_mb_s <= 0) throw ConfigError("disk bandwidth must be positive");
   disks_.resize(static_cast<std::size_t>(disk_count));
@@ -21,8 +22,7 @@ DiskModel::DiskModel(const DiskParams& params, const PositionParams& position,
 }
 
 Ticks DiskModel::transfer_time(Bytes length) const {
-  const double bytes_per_tick = params_.bandwidth_mb_s * 1e6 / 100'000.0;
-  return Ticks(static_cast<std::int64_t>(static_cast<double>(length) / bytes_per_tick));
+  return Ticks(static_cast<std::int64_t>(static_cast<double>(length) / bytes_per_tick_));
 }
 
 Ticks DiskModel::access_time_for_distance(Bytes distance, Bytes length) const {
@@ -40,9 +40,11 @@ Ticks DiskModel::access_time_for_distance(Bytes distance, Bytes length) const {
 }
 
 std::int64_t DiskModel::position_of(std::uint32_t file, Bytes offset) {
-  auto [it, inserted] = file_base_.try_emplace(file, next_base_);
-  if (inserted) next_base_ += position_.file_spacing;
-  return it->second + offset;
+  if (const std::int64_t* base = file_base_.find(file)) return *base + offset;
+  const std::int64_t base = next_base_;
+  file_base_.emplace(file) = base;
+  next_base_ += position_.file_spacing;
+  return base + offset;
 }
 
 std::size_t DiskModel::next_online(std::size_t idx) const {

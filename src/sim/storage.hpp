@@ -11,12 +11,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "faults/fault.hpp"
 #include "sim/metrics.hpp"
 #include "sim/params.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -97,9 +97,10 @@ class DiskModel {
 
   DiskParams params_;
   PositionParams position_;
+  double bytes_per_tick_;  ///< streaming bandwidth
   bool queueing_;
   std::vector<DiskState> disks_;
-  std::unordered_map<std::uint32_t, std::int64_t> file_base_;
+  util::FlatMap64<std::int64_t> file_base_;  ///< file -> virtual base address
   std::int64_t next_base_ = 0;
   Rng rng_;
   DeviceMetrics metrics_;

@@ -1,13 +1,15 @@
-// Open-addressing hash map keyed by uint64, tuned for the simulator's
-// in-flight I/O table (the buffer cache indexes its extents through
-// util::SortedMap64 instead).
+// Open-addressing hash map keyed by uint64. Its users: the simulator's
+// in-flight table of cache transfers (sim/simulator.hpp), the disk model's
+// per-file base addresses (sim/storage.hpp) and the test-only per-block
+// ReferenceCache (tests/reference_cache.hpp). The buffer cache indexes its
+// extents through util::SortedMap64 instead.
 //
 // Compared to std::unordered_map this stores slots in one flat array (no
 // per-node allocation) and probes linearly (cache-friendly). erase() uses
 // backward-shift deletion: the entries after the erased slot that probed
 // past it move back, so the table never holds tombstones. A steady
 // insert/erase workload — exactly what the in-flight table does once per
-// disk transfer — therefore never rehashes; the table allocates only when
+// cache transfer — therefore never rehashes; the table allocates only when
 // the live population grows past three quarters of its slots.
 //
 // Contract: pointers returned by find()/emplace() are invalidated by any

@@ -37,6 +37,10 @@ class BinnedSeries {
   [[nodiscard]] double total() const;
 
  private:
+  /// Index of the bin containing `when` (negative times clamp to 0).
+  [[nodiscard]] std::size_t bin_of(Ticks when) const;
+  void add_to_bin(std::size_t idx, double amount);
+
   Ticks bin_width_;
   std::vector<double> bins_;
 };

@@ -200,6 +200,21 @@ TEST(AttrConservation, NoCacheBypassSyncAndAsync) {
   EXPECT_EQ(result.attr.total.ops, 4);
 }
 
+TEST(AttrConservation, LesBypassingASmallCache) {
+  // Most of les' reads are async and larger than a 256 KiB cache, so they
+  // bypass it. Each must close its record at submit like any async request;
+  // left open, the next request's record absorbed it (11,571 ops for 22,272
+  // requests).
+  obs::AttributionLedger ledger;
+  const sim::SimResult result =
+      run_app_attributed(workload::AppId::kLes, ledger, Bytes{256} * kKiB);
+  expect_conserved(result);
+  std::int64_t requests = 0;
+  for (const auto& proc : result.processes) requests += proc.io_count;
+  EXPECT_EQ(result.attr.total.ops, requests);
+  EXPECT_GT(result.disk.read_ops, 0);
+}
+
 TEST(AttrPhases, ComputeGapStartsNewEpoch) {
   // Requests separated by >= kAttrPhaseGap of pure compute land in distinct
   // burst epochs; back-to-back requests share one.

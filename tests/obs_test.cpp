@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -259,6 +261,45 @@ TEST(SimulatorSpans, VenusReplayIsConsistentAndMonotonic) {
   EXPECT_TRUE(saw_track[track::kDisks]);
   EXPECT_TRUE(saw_track[track::kIoOps]);
   EXPECT_TRUE(saw_track[track::kCache]);
+}
+
+/// A synchronous read, then an async 1 MB write that is still on its way to
+/// disk when the process finishes.
+class ReadThenAsyncWrite final : public workload::RequestSource {
+ public:
+  std::optional<workload::Request> next() override {
+    if (issued_ == 2) return std::nullopt;
+    workload::Request request;
+    request.compute = Ticks::from_ms(1);
+    request.file = 1;
+    request.length = issued_ == 0 ? 64 * kKiB : Bytes{1} * kMB;
+    request.write = issued_ == 1;
+    request.async = issued_ == 1;
+    ++issued_;
+    return request;
+  }
+
+ private:
+  int issued_ = 0;
+};
+
+// Bypass transfers take no in-flight table entry, so run()'s exit condition
+// counts them on their own: the async write must complete, and close its
+// span, before the run returns.
+TEST(SimulatorSpans, NoCacheAsyncTailClosesEverySpan) {
+  SpanRecorder spans;
+  sim::SimParams params = sim::SimParams::no_cache();
+  params.spans = &spans;
+  params.counter_interval = Ticks::from_ms(10);
+  sim::Simulator simulator(params);
+  simulator.add_process("tail", std::make_unique<ReadThenAsyncWrite>());
+  (void)simulator.run();
+  EXPECT_EQ(check_consistency(spans), "");
+  int bypass_ends = 0;
+  for (const auto& e : spans.events()) {
+    if (e.ph == 'e' && e.name == "bypass") ++bypass_ends;
+  }
+  EXPECT_EQ(bypass_ends, 2);
 }
 
 TEST(SimulatorSpans, TelemetryDoesNotChangeResults) {

@@ -253,6 +253,66 @@ TEST(RunnerResilienceTest, WallLimitStopsAComputeBoundProcess) {
   }
 }
 
+/// Synchronous reads of `length` bytes, each after 5 ms of compute (a
+/// quarter quantum), without end. Alone on a no-cache simulator, every
+/// wake-up from a read is dispatched in place, outside the event heap.
+class ComputeReadLoop final : public workload::RequestSource {
+ public:
+  ComputeReadLoop(Bytes length, std::int64_t* issued) : length_(length), issued_(issued) {}
+
+  std::optional<workload::Request> next() override {
+    ++*issued_;
+    workload::Request request;
+    request.compute = Ticks::from_ms(5);
+    request.file = 1;
+    request.offset = offset_;
+    request.length = length_;
+    offset_ += length_;
+    return request;
+  }
+
+ private:
+  Bytes length_;
+  std::int64_t* issued_;
+  Bytes offset_ = 0;
+};
+
+sim::SimResult run_io_bound(Bytes length, const util::CancelToken* cancel,
+                            std::int64_t* issued) {
+  sim::SimParams params = sim::SimParams::no_cache();
+  params.cancel = cancel;
+  sim::Simulator simulator(params);
+  simulator.add_process("reader", std::make_unique<ComputeReadLoop>(length, issued));
+  return simulator.run();
+}
+
+// The in-place dispatches of an I/O-bound process count against the same
+// cancel countdown as the event loop, so a fired token stops it. Each read
+// counts three times (its completion, its in-place dispatch and the slice
+// after it), so the token, polled every 4096 counts, stops the process
+// within 4096 / 3 reads; counting only the heap's events, it would take
+// 2048...
+TEST(RunnerResilienceTest, CancelStopsAnIoBoundProcess) {
+  util::CancelToken token;
+  token.request_cancel();
+  std::int64_t issued = 0;
+  EXPECT_THROW((void)run_io_bound(64 * kKiB, &token, &issued), CancelledError);
+  EXPECT_LE(issued, 4096 / 3 + 1);
+}
+
+// ...and no dispatch runs in place past the 1e6 s simulated-time limit. At
+// 64 MB a read (about 7 s of transfer), the limit falls after roughly
+// 150,000 requests.
+TEST(RunnerResilienceTest, WallLimitStopsAnIoBoundProcess) {
+  std::int64_t issued = 0;
+  try {
+    (void)run_io_bound(Bytes{64} * kMB, nullptr, &issued);
+    FAIL() << "an endless reader must trip the 1e6 s safety limit";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "simulation exceeded wall-clock safety limit");
+  }
+}
+
 TEST(RunnerResilienceTest, RetryFollowsThePinnedBackoffSchedule) {
   RunnerOptions options;
   options.threads = 1;

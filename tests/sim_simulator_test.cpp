@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/metrics.hpp"
 #include "sim/process.hpp"
 #include "trace/stats.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
@@ -256,6 +258,57 @@ TEST(Simulator, TraceReplayMatchesGeneratorBehaviour) {
   EXPECT_EQ(replayed.processes[0].bytes_read + replayed.processes[0].bytes_written,
             stats.total_bytes());
   EXPECT_NEAR(replayed.processes[0].cpu_time.seconds(), stats.cpu_time.seconds(), 1.0);
+}
+
+// The number of events a run schedules is deterministic engine work, so it is
+// pinned exactly. A synchronous no-cache request schedules two: its
+// transfer's completion and the compute slice after it. The dispatch after
+// blocking would run nothing and is skipped; the one after the wake-up runs
+// in place. (Both were events before, four per request: 1,915,700 here.) The
+// other 312 are the first dispatch, the one after the process finishes and
+// 310 quantum expiries that another event was due before.
+TEST(Simulator, NoCacheReplaySchedulesTwoEventsPerRequest) {
+  const auto trace =
+      workload::synthesize_trace(workload::make_profile(workload::AppId::kForma, 5));
+  Simulator sim(SimParams::no_cache());
+  sim.add_process("replay", replay_of(trace));
+  const auto result = sim.run();
+  ASSERT_EQ(result.processes[0].io_count, 478'847);
+  EXPECT_EQ(sim.events_scheduled(), 2 * 478'847 + 312);
+}
+
+// With a cache only the skipped dispatch applies here, and the count must
+// not rise above the 1,694,438 events this run took before either rule.
+TEST(Simulator, CachedReplayEventCountDoesNotRise) {
+  const auto trace =
+      workload::synthesize_trace(workload::make_profile(workload::AppId::kForma, 5));
+  Simulator sim(SimParams::paper_main_memory(Bytes{16} * kMB));
+  sim.add_process("replay", replay_of(trace));
+  (void)sim.run();
+  EXPECT_LE(sim.events_scheduled(), 1'694'438u);
+}
+
+// A reader bypasses a 1 MB cache with 2 MB reads while a writer fills it
+// and waits for space. A bypass completion that wakes a space waiter
+// pushes that waiter's dispatch before its own, so its own dispatch must
+// not run in place. The digest was recorded before dispatches ran in place.
+TEST(Simulator, BypassWakeWithSpaceWaitersMatchesRecorded) {
+  std::vector<workload::Request> reader;
+  std::vector<workload::Request> writer;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    reader.push_back(req(0.002, 1, Bytes{i} * 2 * kMB, 2 * kMB, false));
+  }
+  for (std::int64_t i = 0; i < 200; ++i) {
+    writer.push_back(req(0.001, 2, Bytes{i} * 256 * kKiB, 256 * kKiB, true));
+  }
+  Simulator s(fast_params());
+  s.add_process("reader", std::make_unique<ScriptedSource>(std::move(reader)));
+  s.add_process("writer", std::make_unique<ScriptedSource>(std::move(writer)));
+  const auto result = s.run();
+  EXPECT_EQ(result.cache.space_waits, 166);
+  util::Fnv1a fnv;
+  fnv.add_text(serialize_sim_result(result));
+  EXPECT_EQ(fnv.value(), 0x21647fe611cc80bdULL);
 }
 
 TEST(InMemoryReplay, FiltersByProcessId) {
