@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -40,6 +41,10 @@ BufferCache::BufferCache(const CacheParams& params, CacheMetrics& metrics)
     throw ConfigError("cache capacity smaller than one block");
   }
   capacity_blocks_ = params_.capacity / params_.block_size;
+  // An extent never holds more blocks than the cache, and counts them in 32 bits.
+  if (capacity_blocks_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError("cache capacity of 2^32 blocks or more");
+  }
   cap_blocks_per_process_ =
       params_.per_process_cap > 0 ? params_.per_process_cap / params_.block_size : 0;
   if (params_.per_process_cap > 0 && cap_blocks_per_process_ == 0) {
@@ -55,34 +60,50 @@ bool BufferCache::mergeable(const Extent& front, const Extent& back) {
 }
 
 std::int64_t BufferCache::owned_blocks(std::uint32_t pid) const {
-  const auto it = owner_of_pid_.find(pid);
-  return it == owner_of_pid_.end() ? 0 : owners_[it->second].owned;
+  const std::uint32_t* owner = owner_of_pid_.find(pid);
+  return owner == nullptr ? 0 : owners_[*owner].owned;
 }
 
 std::uint32_t BufferCache::owner_index(std::uint32_t pid) {
-  const auto [it, added] =
-      owner_of_pid_.try_emplace(pid, static_cast<std::uint32_t>(owners_.size()));
-  if (added) owners_.push_back(Owner{.pid = pid});
-  return it->second;
+  const std::size_t known = owner_of_pid_.size();
+  std::uint32_t& owner = owner_of_pid_.emplace(pid);
+  if (owner_of_pid_.size() != known) {
+    owner = static_cast<std::uint32_t>(owners_.size());
+    owners_.push_back(Owner{.pid = pid});
+  }
+  return owner;
 }
 
-BufferCache::Segment BufferCache::segment(std::uint64_t key, std::uint64_t end) const {
+BufferCache::Segment BufferCache::segment(std::uint64_t key, std::uint64_t end,
+                                          std::uint32_t hint, std::uint32_t second) {
   static_assert(kNil == util::SortedMap64::kNoValue);
+  // Successor links are exact, so from any live extent at or before `key`,
+  // `key` lies in it, in the gap after it, or in (or before) its successor.
+  // Only a hint more than one extent short of `key` is left to the index.
+  for (const std::uint32_t from : {hint, second}) {
+    if (from == kNil || pool_[from].count == 0 || pool_[from].key > key) continue;
+    const Extent& near = pool_[from];
+    if (key < near.end()) return {from, std::min(near.end(), end), from};
+    if (near.succ == kNil) return {kNil, end, kNil};
+    const Extent& succ = pool_[near.succ];
+    if (key < succ.key) return {kNil, std::min(succ.key, end), near.succ};
+    if (key < succ.end()) return {near.succ, std::min(succ.end(), end), near.succ};
+  }
+  ++index_ops_.lookups;
   const util::SortedMap64::Around around = index_.around(key);
   if (around.floor != kNil && key < pool_[around.floor].end()) {
-    return {around.floor, std::min(pool_[around.floor].end(), end)};
+    return {around.floor, std::min(pool_[around.floor].end(), end), around.floor};
   }
-  return {kNil, std::min(around.next, end)};
+  return {kNil, std::min(around.next, end), around.next_value};
 }
 
-std::int64_t BufferCache::count_missing(Segment head, std::uint64_t first,
-                                        std::uint64_t end) const {
+std::int64_t BufferCache::count_missing(Segment head, std::uint64_t first, std::uint64_t end) {
   std::int64_t missing = 0;
   for (std::uint64_t k = first;;) {
     if (head.slot == kNil) missing += static_cast<std::int64_t>(head.end - k);
     k = head.end;
     if (k >= end) return missing;
-    head = segment(k, end);
+    head = segment(k, end, head.after);
   }
 }
 
@@ -96,18 +117,28 @@ std::uint32_t BufferCache::alloc_slot() {
   return slot;
 }
 
+void BufferCache::index_extent(std::uint32_t slot) {
+  const util::SortedMap64::Neighbours around = index_.insert(pool_[slot].key, slot);
+  ++index_ops_.inserts;
+  pool_[slot].succ = around.next;
+  if (around.prev != kNil) pool_[around.prev].succ = slot;
+}
+
 void BufferCache::erase_extent(std::uint32_t slot) {
-  index_.erase(pool_[slot].key);
+  const util::SortedMap64::Neighbours around = index_.erase(pool_[slot].key);
+  ++index_ops_.erases;
+  if (around.prev != kNil) pool_[around.prev].succ = around.next;
+  pool_[slot].count = 0;          // dead: no lookup starts from it
   pool_[slot].next = free_head_;  // free list threads through next
   free_head_ = slot;
 }
 
-void BufferCache::insert_extent(const Extent& extent) {
+std::uint32_t BufferCache::insert_extent(const Extent& extent) {
   assert(extent.state != State::kClean && extent.count > 0);
   const std::uint32_t slot = alloc_slot();
   pool_[slot] = extent;
-  index_.insert(extent.key, slot);
-  if (extent.state == State::kDirty) dirty_link(slot);
+  index_extent(slot);
+  return extent.state == State::kDirty ? dirty_link(slot) : slot;
 }
 
 std::uint32_t BufferCache::split(std::uint32_t slot, std::uint64_t at) {
@@ -117,9 +148,9 @@ std::uint32_t BufferCache::split(std::uint32_t slot, std::uint64_t at) {
   assert(front.key < at && at < front.end());
   back = front;
   back.key = at;
-  back.count = static_cast<std::int64_t>(front.end() - at);
-  front.count = static_cast<std::int64_t>(at - front.key);
-  index_.insert(at, back_slot);
+  back.count = static_cast<std::uint32_t>(front.end() - at);
+  front.count = static_cast<std::uint32_t>(at - front.key);
+  index_extent(back_slot);
   if (front.state == State::kClean || front.state == State::kDirty) {
     back.prev = slot;
     if (front.next != kNil) {
@@ -148,7 +179,7 @@ std::uint32_t BufferCache::isolate(std::uint32_t slot, std::uint64_t first, std:
   return first > pool_[slot].key ? split(slot, first) : slot;
 }
 
-void BufferCache::clean_push_back(std::uint32_t slot) {
+std::uint32_t BufferCache::clean_push_back(std::uint32_t slot) {
   Extent& extent = pool_[slot];
   Owner& owner = owners_[extent.owner];
   clean_count_ += extent.count;
@@ -157,7 +188,7 @@ void BufferCache::clean_push_back(std::uint32_t slot) {
     // The MRU extent is also its owner's newest, so both lists stay intact.
     pool_[lru_tail_].count += extent.count;
     erase_extent(slot);
-    return;
+    return lru_tail_;
   }
   extent.prev = lru_tail_;
   extent.next = kNil;
@@ -175,6 +206,7 @@ void BufferCache::clean_push_back(std::uint32_t slot) {
     owner.head = slot;
   }
   owner.tail = slot;
+  return slot;
 }
 
 void BufferCache::clean_unlink(std::uint32_t slot) {
@@ -208,7 +240,7 @@ void BufferCache::clean_unlink(std::uint32_t slot) {
   owner.clean -= extent.count;
 }
 
-void BufferCache::dirty_link(std::uint32_t slot) {
+std::uint32_t BufferCache::dirty_link(std::uint32_t slot) {
   const std::uint64_t key = pool_[slot].key;
   // Find the dirty extent to insert after (kNil = new head). Extents do not
   // overlap, so their first keys are unique and strict comparisons suffice.
@@ -246,7 +278,7 @@ void BufferCache::dirty_link(std::uint32_t slot) {
   }
   dirty_hint_ = slot;
   dirty_count_ += extent.count;
-  dirty_merge(slot);
+  return dirty_merge(slot);
 }
 
 void BufferCache::dirty_unlink(std::uint32_t slot) {
@@ -267,7 +299,7 @@ void BufferCache::dirty_unlink(std::uint32_t slot) {
   dirty_count_ -= extent.count;
 }
 
-void BufferCache::dirty_merge(std::uint32_t slot) {
+std::uint32_t BufferCache::dirty_merge(std::uint32_t slot) {
   // Folds `back` (the list and key successor of `front`) into `front`.
   auto fold = [this](std::uint32_t front, std::uint32_t back) {
     const std::uint32_t after = pool_[back].next;
@@ -284,15 +316,19 @@ void BufferCache::dirty_merge(std::uint32_t slot) {
   const std::uint32_t next = pool_[slot].next;
   if (next != kNil && mergeable(pool_[slot], pool_[next])) fold(slot, next);
   const std::uint32_t prev = pool_[slot].prev;
-  if (prev != kNil && mergeable(pool_[prev], pool_[slot])) fold(prev, slot);
+  if (prev != kNil && mergeable(pool_[prev], pool_[slot])) {
+    fold(prev, slot);
+    return prev;
+  }
+  return slot;
 }
 
 bool BufferCache::can_allocate(std::int64_t need, std::uint32_t pid) const {
   if (need <= 0) return true;
   if (need > free_blocks() + clean_count_) return false;
   if (cap_blocks_per_process_ > 0) {
-    const auto it = owner_of_pid_.find(pid);
-    const Owner* owner = it == owner_of_pid_.end() ? nullptr : &owners_[it->second];
+    const std::uint32_t* index = owner_of_pid_.find(pid);
+    const Owner* owner = index == nullptr ? nullptr : &owners_[*index];
     const std::int64_t own = owner != nullptr ? owner->owned : 0;
     if (own + need > cap_blocks_per_process_) {
       // Over the cap: the process must be able to evict enough of its own
@@ -315,11 +351,12 @@ void BufferCache::evict_front(std::uint32_t slot, std::int64_t n) {
     erase_extent(slot);
     return;
   }
-  extent.count -= n;
+  extent.count -= static_cast<std::uint32_t>(n);
   clean_count_ -= n;
   owner.clean -= n;
   const std::uint64_t key = extent.key + static_cast<std::uint64_t>(n);
   index_.rekey(extent.key, key);
+  ++index_ops_.rekeys;
   extent.key = key;
 }
 
@@ -345,7 +382,7 @@ void BufferCache::reserve(std::int64_t n, std::uint32_t owner) {
       if (!prefer && capped && pool_[victim].owner != owner) {
         batch = std::min(batch, cap_blocks_per_process_ - me.owned);
       }
-      batch = std::min(batch, pool_[victim].count);
+      batch = std::min<std::int64_t>(batch, pool_[victim].count);
       evict_front(victim, batch);
     } else {
       batch = std::min(batch, free_blocks());
@@ -357,19 +394,19 @@ void BufferCache::reserve(std::int64_t n, std::uint32_t owner) {
   }
 }
 
-void BufferCache::touch(std::uint32_t slot, std::uint64_t first, std::uint64_t end) {
+std::uint32_t BufferCache::touch(std::uint32_t slot, std::uint64_t first, std::uint64_t end) {
   // A suffix of the MRU extent is already in the order a touch leaves it.
-  if (slot == lru_tail_ && end == pool_[slot].end()) return;
+  if (slot == lru_tail_ && end == pool_[slot].end()) return slot;
   slot = isolate(slot, first, end);
   clean_unlink(slot);
-  clean_push_back(slot);
+  return clean_push_back(slot);
 }
 
-void BufferCache::make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
-                             std::uint32_t owner, Ticks now) {
+std::uint32_t BufferCache::make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                                      std::uint32_t owner, Ticks now) {
   const State state = pool_[slot].state;
   if (state == State::kDirty && pool_[slot].owner == owner && pool_[slot].dirty_since == now) {
-    return;
+    return slot;
   }
   slot = isolate(slot, first, end);
   if (state == State::kClean) clean_unlink(slot);
@@ -385,22 +422,21 @@ void BufferCache::make_dirty(std::uint32_t slot, std::uint64_t first, std::uint6
       // data is stale.
       extent.state = State::kDirty;
       extent.op_id = 0;
-      dirty_link(slot);
-      break;
+      return dirty_link(slot);
     case State::kDirty:
-      dirty_merge(slot);
-      break;
+      return dirty_merge(slot);
     case State::kFlushing:
       extent.redirtied = true;
       break;
   }
+  return slot;
 }
 
-void BufferCache::write_through(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
-                                std::uint32_t owner) {
+std::uint32_t BufferCache::write_through(std::uint32_t slot, std::uint64_t first,
+                                         std::uint64_t end, std::uint32_t owner) {
   const State state = pool_[slot].state;
   if (state == State::kFlushing && pool_[slot].owner == owner && !pool_[slot].from_readahead) {
-    return;
+    return slot;
   }
   slot = isolate(slot, first, end);
   if (state == State::kClean) clean_unlink(slot);
@@ -413,6 +449,7 @@ void BufferCache::write_through(std::uint32_t slot, std::uint64_t first, std::ui
     extent.op_id = 0;
     extent.dirty_since = Ticks::zero();
   }
+  return slot;
 }
 
 BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t file, Bytes offset,
@@ -433,7 +470,8 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   // Pass 1 (no mutation): count missing blocks.
   const std::uint64_t first = key_of(file, b0);
   const std::uint64_t end = key_of(file, b1);
-  const Segment head = segment(first, end);
+  FileState& file_state = files_.emplace(file);
+  const Segment head = segment(first, end, file_state.finger, last_walk_);
   const std::int64_t missing = count_missing(head, first, end);
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
@@ -443,11 +481,13 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
 
   // Pass 2, segment by segment in ascending order: touch hits, join
   // in-flight fetches, insert missing blocks as Fetching. Nothing has
-  // changed since pass 1 looked up the first segment.
+  // changed since pass 1 looked up the first segment. `at` is the extent
+  // that holds the blocks handled last.
   const std::uint32_t owner = owner_index(pid);
   std::int64_t present = 0;
+  std::uint32_t at = head.after;
   for (std::uint64_t k = first; k < end;) {
-    auto [slot, seg_end] = k == first ? head : segment(k, end);
+    auto [slot, seg_end, after] = k == first ? head : segment(k, end, at);
     const auto n = static_cast<std::int64_t>(seg_end - k);
     if (slot == kNil) {
       const std::int64_t block = block_of(k);
@@ -458,11 +498,11 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
       reserve(n, owner);
       Extent fetching;
       fetching.key = k;
-      fetching.count = n;
+      fetching.count = static_cast<std::uint32_t>(n);
       fetching.state = State::kFetching;
       fetching.owner = owner;
       fetching.op_id = first_op_id + plan.fetch_runs.size() - 1;
-      insert_extent(fetching);
+      at = insert_extent(fetching);
       plan.fetch_runs.back().count += n;
     } else {
       present += n;
@@ -473,8 +513,9 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
         pool_[slot].from_readahead = false;
       }
       const Extent& hit = pool_[slot];
+      at = slot;
       if (hit.state == State::kClean) {
-        touch(slot, k, seg_end);
+        at = touch(slot, k, seg_end);
       } else if (hit.state == State::kFetching &&
                  std::find(plan.join_ops.begin(), plan.join_ops.end(), hit.op_id) ==
                      plan.join_ops.end()) {
@@ -486,6 +527,7 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
     // next segment is looked up afresh.
     k = seg_end;
   }
+  file_state.finger = last_walk_ = at;
 
   plan.full_hit = plan.fetch_runs.empty() && plan.join_ops.empty();
   if (plan.full_hit) {
@@ -499,12 +541,11 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   // Sequential detection -> read-ahead suggestion ("prefetching the amount
   // of data just read allowed the application to continue without waiting").
   if (params_.read_ahead) {
-    SeqState& seq = sequential_[file];
-    if (seq.last_end == offset) {
+    if (file_state.last_end == offset) {
       const std::int64_t ahead = std::max<std::int64_t>(1, (length + bs - 1) / bs);
       plan.readahead = BlockRun{file, b1, ahead};
     }
-    seq.last_end = offset + length;
+    file_state.last_end = offset + length;
   }
   return plan;
 }
@@ -527,7 +568,8 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
 
   const std::uint64_t first = key_of(file, b0);
   const std::uint64_t end = key_of(file, b1);
-  const Segment head = segment(first, end);
+  FileState& file_state = files_.emplace(file);
+  const Segment head = segment(first, end, file_state.finger, last_walk_);
   const std::int64_t missing = count_missing(head, first, end);
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
@@ -538,24 +580,26 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
   // Under write-behind every block ends Dirty (or redirtied while Flushing);
   // under write-through every block goes to disk now.
   const std::uint32_t owner = owner_index(pid);
+  std::uint32_t at = head.after;
   for (std::uint64_t k = first; k < end;) {
-    const auto [slot, seg_end] = k == first ? head : segment(k, end);
+    const auto [slot, seg_end, after] = k == first ? head : segment(k, end, at);
     if (slot == kNil) {
       reserve(static_cast<std::int64_t>(seg_end - k), owner);
       Extent fresh;
       fresh.key = k;
-      fresh.count = static_cast<std::int64_t>(seg_end - k);
+      fresh.count = static_cast<std::uint32_t>(seg_end - k);
       fresh.owner = owner;
       fresh.state = write_behind ? State::kDirty : State::kFlushing;
       if (write_behind) fresh.dirty_since = now;
-      insert_extent(fresh);
+      at = insert_extent(fresh);
     } else if (write_behind) {
-      make_dirty(slot, k, seg_end, owner, now);
+      at = make_dirty(slot, k, seg_end, owner, now);
     } else {
-      write_through(slot, k, seg_end, owner);
+      at = write_through(slot, k, seg_end, owner);
     }
     k = seg_end;
   }
+  file_state.finger = last_walk_ = at;
   if (write_behind) {
     plan.absorbed = true;
     ++metrics_->write_absorbed;
@@ -565,7 +609,7 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
 
   // Writes also advance the sequential detector (appending writes should not
   // be mistaken for random reads later).
-  if (params_.read_ahead) sequential_[file].last_end = offset + length;
+  if (params_.read_ahead) file_state.last_end = offset + length;
   return plan;
 }
 
@@ -576,19 +620,19 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
   // Only prefetch when the whole candidate is absent (the frontier case).
   const std::uint64_t first = key_of(candidate.file, candidate.first_block);
   const std::uint64_t end = first + static_cast<std::uint64_t>(candidate.count);
-  const Segment seg = segment(first, end);
+  const Segment seg = segment(first, end, last_walk_);
   if (seg.slot != kNil || seg.end != end) return std::nullopt;
   if (!can_allocate(candidate.count, pid)) return std::nullopt;
   const std::uint32_t owner = owner_index(pid);
   reserve(candidate.count, owner);
   Extent prefetch;
   prefetch.key = first;
-  prefetch.count = candidate.count;
+  prefetch.count = static_cast<std::uint32_t>(candidate.count);  // can_allocate bounds it
   prefetch.state = State::kFetching;
   prefetch.owner = owner;
   prefetch.op_id = op_id;
   prefetch.from_readahead = true;
-  insert_extent(prefetch);
+  last_walk_ = insert_extent(prefetch);
   ++metrics_->readahead_issued;
   metrics_->readahead_fetched_blocks += candidate.count;
   return candidate;
@@ -600,39 +644,45 @@ void BufferCache::fetch_complete(const BlockRun& run) {
   const std::uint64_t first = key_of(run.file, run.first_block);
   const std::uint64_t end =
       first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
+  std::uint32_t at = last_walk_;
   for (std::uint64_t k = first; k < end;) {
-    auto [slot, seg_end] = segment(k, end);
+    auto [slot, seg_end, after] = segment(k, end, at);
+    at = after;
     if (slot != kNil && pool_[slot].state == State::kFetching) {  // else overwritten meanwhile
       slot = isolate(slot, k, seg_end);
       pool_[slot].state = State::kClean;
       pool_[slot].op_id = 0;
-      clean_push_back(slot);
+      at = clean_push_back(slot);
     }
     k = seg_end;
   }
+  last_walk_ = at;
 }
 
 void BufferCache::flush_complete(const BlockRun& run) {
   const std::uint64_t first = key_of(run.file, run.first_block);
   const std::uint64_t end =
       first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
+  std::uint32_t at = last_walk_;
   for (std::uint64_t k = first; k < end;) {
-    auto [slot, seg_end] = segment(k, end);
+    auto [slot, seg_end, after] = segment(k, end, at);
+    at = after;
     if (slot != kNil && pool_[slot].state == State::kFlushing) {
       slot = isolate(slot, k, seg_end);
       Extent& extent = pool_[slot];
       if (extent.redirtied) {
         extent.redirtied = false;
         extent.state = State::kDirty;
-        dirty_link(slot);
+        at = dirty_link(slot);
       } else {
         extent.state = State::kClean;
         extent.dirty_since = Ticks::zero();
-        clean_push_back(slot);
+        at = clean_push_back(slot);
       }
     }
     k = seg_end;
   }
+  last_walk_ = at;
 }
 
 std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
@@ -650,7 +700,7 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
     }
     // The lowest keys go first; a partly taken extent leaves its tail dirty
     // (and ends the batch).
-    const std::int64_t take = std::min(pool_[cursor].count, max_blocks - taken);
+    const std::int64_t take = std::min<std::int64_t>(pool_[cursor].count, max_blocks - taken);
     if (take < pool_[cursor].count) {
       split(cursor, pool_[cursor].key + static_cast<std::uint64_t>(take));
     }
@@ -667,10 +717,12 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
 
 std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
   std::int64_t cancelled = 0;
-  for (auto entry = index_.ceil(key_of(file, 0)); entry && file_of(entry->key) == file;
-       entry = index_.ceil(entry->key + 1)) {
-    const std::uint32_t slot = entry->value;
+  ++index_ops_.lookups;
+  const auto first = index_.ceil(key_of(file, 0));
+  std::uint32_t slot = first ? first->value : kNil;
+  while (slot != kNil && file_of(pool_[slot].key) == file) {
     Extent& extent = pool_[slot];
+    const std::uint32_t succ = extent.succ;
     switch (extent.state) {
       case State::kClean:
         clean_unlink(slot);
@@ -683,13 +735,15 @@ std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
       case State::kFlushing:
         // In-flight transfers complete against a dead block; leave them so
         // fetch/flush_complete bookkeeping stays simple.
+        slot = succ;
         continue;
     }
     owners_[extent.owner].owned -= extent.count;
     live_count_ -= extent.count;
     erase_extent(slot);
+    slot = succ;
   }
-  sequential_.erase(file);
+  files_.erase(file);
   metrics_->writes_cancelled_blocks += cancelled;
   return cancelled;
 }
@@ -697,6 +751,79 @@ std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
 bool BufferCache::over_watermark() const {
   return static_cast<double>(dirty_count_) >
          params_.dirty_high_watermark * static_cast<double>(capacity_blocks_);
+}
+
+std::string BufferCache::audit() const {
+  const auto at = [](std::uint64_t key) {
+    return " (file " + std::to_string(file_of(key)) + ", block " +
+           std::to_string(block_of(key)) + ")";
+  };
+  // The successor chain from the least key, against the index.
+  const auto least = index_.ceil(0);
+  std::uint32_t link = least ? least->value : kNil;
+  std::uint64_t covered = 0;  // end of the previous extent
+  std::int64_t live = 0;
+  for (auto entry = least; entry; entry = index_.ceil(entry->key + 1)) {
+    const Extent& extent = pool_[entry->value];
+    if (link != entry->value) return "successor chain leaves the index" + at(entry->key);
+    if (extent.key != entry->key) return "extent key differs from its index key" + at(entry->key);
+    if (extent.count == 0) return "live extent holds no blocks" + at(entry->key);
+    if (extent.key < covered) return "extent overlaps its predecessor" + at(entry->key);
+    covered = extent.end();
+    live += extent.count;
+    link = extent.succ;
+  }
+  if (link != kNil) return "successor chain runs past the index's last key";
+  if (live != live_count_) {
+    return "live extents hold " + std::to_string(live) + " blocks, resident count is " +
+           std::to_string(live_count_);
+  }
+  std::size_t dead = 0;
+  for (std::uint32_t slot = free_head_; slot != kNil; slot = pool_[slot].next) {
+    if (pool_[slot].count != 0) return "free slot " + std::to_string(slot) + " holds blocks";
+    if (++dead > pool_.size()) return "free list loops";
+  }
+  if (dead + index_.size() != pool_.size()) return "slots neither free nor indexed";
+
+  // Blocks on the list from `head` through `next`, or -1 unless every extent
+  // on it is live and `belongs`, its back links hold and it ends at `tail`.
+  const auto list_blocks = [this](std::uint32_t head, std::uint32_t tail,
+                                  std::uint32_t Extent::*next, std::uint32_t Extent::*prev,
+                                  auto belongs) -> std::int64_t {
+    std::int64_t blocks = 0;
+    std::uint32_t before = kNil;
+    std::size_t steps = 0;
+    for (std::uint32_t slot = head; slot != kNil; slot = pool_[slot].*next) {
+      const Extent& extent = pool_[slot];
+      if (extent.count == 0 || !belongs(extent) || extent.*prev != before ||
+          ++steps > pool_.size()) {
+        return -1;
+      }
+      blocks += extent.count;
+      before = slot;
+    }
+    return before == tail ? blocks : -1;
+  };
+  const auto in = [](State state) { return [state](const Extent& e) { return e.state == state; }; };
+  if (list_blocks(lru_head_, lru_tail_, &Extent::next, &Extent::prev, in(State::kClean)) !=
+      clean_count_) {
+    return "clean list does not sum to the clean count";
+  }
+  if (list_blocks(dirty_head_, dirty_tail_, &Extent::next, &Extent::prev, in(State::kDirty)) !=
+      dirty_count_) {
+    return "dirty list does not sum to the dirty count";
+  }
+  std::int64_t owned_clean = 0;
+  for (std::uint32_t i = 0; i < owners_.size(); ++i) {
+    const auto mine = [i](const Extent& e) { return e.state == State::kClean && e.owner == i; };
+    if (list_blocks(owners_[i].head, owners_[i].tail, &Extent::owner_next, &Extent::owner_prev,
+                    mine) != owners_[i].clean) {
+      return "clean list of pid " + std::to_string(owners_[i].pid) + " does not sum to its count";
+    }
+    owned_clean += owners_[i].clean;
+  }
+  if (owned_clean != clean_count_) return "owners' clean lists do not sum to the clean count";
+  return {};
 }
 
 }  // namespace craysim::sim

@@ -27,15 +27,21 @@
 //  * Inserting may evict blocks later in the same request, so a request
 //    walks its blocks one segment (an extent's blocks, or a run of absent
 //    blocks) at a time and looks each segment up afresh.
+//
+// Every extent links to its successor in key order, so most lookups start
+// from a nearby extent instead of searching the index: the extent the walk
+// just handled, the extent where the file's last request ended, or the
+// extent where the cache's last walk ended (docs/PERF.md, "Buffer cache").
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/params.hpp"
+#include "util/flat_map.hpp"
 #include "util/sorted_map.hpp"
 #include "util/units.hpp"
 
@@ -49,6 +55,16 @@ struct BlockRun {
 
   [[nodiscard]] Bytes bytes(Bytes block_size) const { return count * block_size; }
   friend bool operator==(const BlockRun&, const BlockRun&) = default;
+};
+
+/// Operations on the buffer cache's ordered extent index: a deterministic
+/// measure of the cache's work, kept out of CacheMetrics and SimResult.
+struct CacheIndexOps {
+  std::uint64_t lookups = 0;  ///< searches: segment lookups no neighbour resolved,
+                              ///< and one per invalidate_file
+  std::uint64_t inserts = 0;
+  std::uint64_t erases = 0;
+  std::uint64_t rekeys = 0;   ///< an extent's first key moved up in place
 };
 
 class BufferCache {
@@ -127,6 +143,14 @@ class BufferCache {
   [[nodiscard]] std::int64_t capacity_blocks() const { return capacity_blocks_; }
   [[nodiscard]] std::int64_t resident_blocks() const { return live_count_; }
   [[nodiscard]] std::int64_t owned_blocks(std::uint32_t pid) const;
+  [[nodiscard]] const CacheIndexOps& index_ops() const { return index_ops_; }
+
+  /// Checks the bookkeeping against itself: the successor chain visits the
+  /// index's keys in order without overlap, every live extent holds blocks,
+  /// the clean, dirty and per-owner lists sum to their counts, and the live
+  /// extents sum to resident_blocks(). Returns the first violation found, or
+  /// an empty string. For tests: it walks every extent.
+  [[nodiscard]] std::string audit() const;
 
  private:
   enum class State : std::uint8_t { kClean, kDirty, kFetching, kFlushing };
@@ -138,10 +162,11 @@ class BufferCache {
   /// outside Dirty and redirtied Flushing) so that neighbours can merge.
   struct Extent {
     std::uint64_t key = 0;         ///< file<<32 | first block
-    std::int64_t count = 0;
     std::uint64_t op_id = 0;       ///< fetch op while Fetching
     Ticks dirty_since;             ///< when the blocks were last made dirty
+    std::uint32_t count = 0;       ///< blocks; 0 while the slot is dead
     std::uint32_t owner = 0;       ///< index into owners_
+    std::uint32_t succ = kNil;     ///< the extent with the next key in the index
     // Intrusive list links (slot indices): the clean LRU while Clean, the
     // key-ordered dirty list while Dirty (the states are disjoint, so one
     // pair of links serves both) — and the free list through `next` while
@@ -154,8 +179,11 @@ class BufferCache {
     bool from_readahead = false;   ///< fetched by prefetch, not yet referenced
     bool redirtied = false;        ///< written while Flushing
 
-    [[nodiscard]] std::uint64_t end() const { return key + static_cast<std::uint64_t>(count); }
+    [[nodiscard]] std::uint64_t end() const { return key + count; }
   };
+  // A pass over a large cache touches every extent of its working set: a
+  // 64-byte extent raised cache_sweep's peak RSS by 9 %.
+  static_assert(sizeof(Extent) == 56);
 
   struct Owner {
     std::uint32_t pid = 0;
@@ -184,17 +212,22 @@ class BufferCache {
   struct Segment {
     std::uint32_t slot = kNil;
     std::uint64_t end = 0;
+    std::uint32_t after = kNil;  ///< where the next segment's lookup starts
   };
 
   [[nodiscard]] std::int64_t free_blocks() const { return capacity_blocks_ - live_count_; }
   /// Can `need` new blocks be produced (free + evictable clean)?
   [[nodiscard]] bool can_allocate(std::int64_t need, std::uint32_t pid) const;
   /// The segment starting at `key`: the extent holding `key` up to its end
-  /// or `end`, or the absent blocks up to the next extent or `end`.
-  [[nodiscard]] Segment segment(std::uint64_t key, std::uint64_t end) const;
+  /// or `end`, or the absent blocks up to the next extent or `end`. It is
+  /// read off `hint`, else `second`, when one is a live extent at or before
+  /// `key` that holds it or whose successor holds it or bounds its gap;
+  /// otherwise the index is searched.
+  [[nodiscard]] Segment segment(std::uint64_t key, std::uint64_t end, std::uint32_t hint,
+                                std::uint32_t second = kNil);
   /// Absent blocks in [first, end), given `head` = segment(first, end).
   [[nodiscard]] std::int64_t count_missing(Segment head, std::uint64_t first,
-                                           std::uint64_t end) const;
+                                           std::uint64_t end);
   /// The owners_ index of `pid`, adding an entry on first use.
   std::uint32_t owner_index(std::uint32_t pid);
   /// Makes room for `n` blocks that `owner` inserts one at a time, evicting
@@ -203,37 +236,45 @@ class BufferCache {
   void reserve(std::int64_t n, std::uint32_t owner);
   /// Evicts the `n` lowest (least recently used) blocks of clean extent `slot`.
   void evict_front(std::uint32_t slot, std::int64_t n);
-  /// Indexes a new Fetching, Dirty or Flushing extent (linking a Dirty one).
-  void insert_extent(const Extent& extent);
+  /// Indexes a new Fetching, Dirty or Flushing extent (linking a Dirty one);
+  /// returns the extent that holds its blocks (a Dirty one may fold into the
+  /// extent before it).
+  std::uint32_t insert_extent(const Extent& extent);
   /// Splits `slot` at key `at`, strictly inside it; the back part follows the
   /// front on its lists. Returns the back part.
   std::uint32_t split(std::uint32_t slot, std::uint64_t at);
   /// Splits `slot` so that keys [first, end) form one extent; returns it.
   std::uint32_t isolate(std::uint32_t slot, std::uint64_t first, std::uint64_t end);
+  // touch, make_dirty, write_through, clean_push_back, dirty_link and
+  // dirty_merge return the extent that holds the blocks they handled
+  // afterwards: the next segment's lookup starts there.
   /// Moves blocks [first, end) of clean extent `slot` to the MRU end.
-  void touch(std::uint32_t slot, std::uint64_t first, std::uint64_t end);
+  std::uint32_t touch(std::uint32_t slot, std::uint64_t first, std::uint64_t end);
   /// A write-behind write over blocks [first, end) of extent `slot`.
-  void make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
-                  std::uint32_t owner, Ticks now);
+  std::uint32_t make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                           std::uint32_t owner, Ticks now);
   /// A write-through write over blocks [first, end) of extent `slot`.
-  void write_through(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
-                     std::uint32_t owner);
+  std::uint32_t write_through(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
+                              std::uint32_t owner);
   /// Appends a Clean extent at the MRU end of the LRU and of its owner's
   /// list, folding it into the tail extent when it continues it.
-  void clean_push_back(std::uint32_t slot);
+  std::uint32_t clean_push_back(std::uint32_t slot);
   /// Unlinks a Clean extent from the LRU and its owner's list.
   void clean_unlink(std::uint32_t slot);
   /// Inserts a Dirty extent into the intrusive dirty list at its ascending
   /// key position (sequential writes append in O(1) via the tail/hint
   /// checks), bumps dirty_count_, and merges it with the neighbours it
   /// continues.
-  void dirty_link(std::uint32_t slot);
+  std::uint32_t dirty_link(std::uint32_t slot);
   /// Unlinks a Dirty extent from the dirty list and drops dirty_count_.
   void dirty_unlink(std::uint32_t slot);
   /// Folds dirty extent `slot` into the list neighbours it continues.
-  void dirty_merge(std::uint32_t slot);
+  std::uint32_t dirty_merge(std::uint32_t slot);
   std::uint32_t alloc_slot();
-  /// Drops `slot` from the index and releases it to the free list.
+  /// Indexes live extent `slot` and links it between its key neighbours.
+  void index_extent(std::uint32_t slot);
+  /// Drops `slot` from the index, links its key neighbours to each other and
+  /// releases the slot to the free list.
   void erase_extent(std::uint32_t slot);
 
   CacheParams params_;
@@ -256,12 +297,16 @@ class BufferCache {
   std::uint32_t dirty_hint_ = kNil;
   std::int64_t dirty_count_ = 0;
   std::vector<Owner> owners_;  ///< one per pid seen, in order of first use
-  std::unordered_map<std::uint32_t, std::uint32_t> owner_of_pid_;  ///< pid -> owners_ index
-  // Per-file sequential detector for read-ahead: where the last access ended.
-  struct SeqState {
+  util::FlatMap64<std::uint32_t> owner_of_pid_;  ///< pid -> owners_ index
+  /// Where a file's last request ended: in bytes for the read-ahead
+  /// detector, and as the extent that held its last block.
+  struct FileState {
     Bytes last_end = -1;
+    std::uint32_t finger = kNil;
   };
-  std::unordered_map<std::uint32_t, SeqState> sequential_;
+  util::FlatMap64<FileState> files_;
+  std::uint32_t last_walk_ = kNil;  ///< the extent where the last walk ended
+  CacheIndexOps index_ops_;
 };
 
 }  // namespace craysim::sim

@@ -154,8 +154,7 @@ void Simulator::push_event(Ticks time, EventKind kind, std::uint64_t arg,
   std::push_heap(events_.begin(), events_.end(), std::greater<>{});
 }
 
-void Simulator::poll_cancel() {
-  if (params_.cancel == nullptr || --cancel_countdown_ != 0) return;
+void Simulator::poll_cancel_token() {
   cancel_countdown_ = kCancelStride;
   if (params_.cancel->cancelled()) {
     throw CancelledError("simulation abandoned at t=" + std::to_string(now_.seconds()) +

@@ -56,6 +56,12 @@ class Simulator {
   /// expiries, dispatches after a bypass transfer) is not counted.
   [[nodiscard]] std::uint64_t events_scheduled() const { return next_seq_; }
 
+  /// Operations run() did on the buffer cache's extent index (all zero
+  /// without a cache): deterministic, and kept out of SimResult.
+  [[nodiscard]] CacheIndexOps cache_index_ops() const {
+    return cache_ ? cache_->index_ops() : CacheIndexOps{};
+  }
+
  private:
   enum class EventKind : std::uint8_t {
     kDispatch,
@@ -144,7 +150,12 @@ class Simulator {
   /// CancelledError once the token fires. run()'s event loop, on_slice_end's
   /// in-place quantum expiries and on_bypass_done's in-place dispatches share
   /// the one countdown.
-  void poll_cancel();
+  void poll_cancel() {
+    if (params_.cancel != nullptr && --cancel_countdown_ == 0) poll_cancel_token();
+  }
+  /// poll_cancel's out-of-line part, once per stride: restarts the countdown
+  /// and throws if the token fired.
+  void poll_cancel_token();
   void on_dispatch(Ticks now);
   void on_slice_end(Ticks now, std::uint32_t pid);
   void on_io_done(Ticks now, std::uint64_t op_id);

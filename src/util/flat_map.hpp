@@ -1,8 +1,9 @@
 // Open-addressing hash map keyed by uint64. Its users: the simulator's
 // in-flight table of cache transfers (sim/simulator.hpp), the disk model's
-// per-file base addresses (sim/storage.hpp) and the test-only per-block
-// ReferenceCache (tests/reference_cache.hpp). The buffer cache indexes its
-// extents through util::SortedMap64 instead.
+// per-file base addresses (sim/storage.hpp), the buffer cache's pid -> owner
+// table and per-file state (read-ahead detector and finger, sim/cache.hpp),
+// and the test-only per-block ReferenceCache (tests/reference_cache.hpp).
+// The buffer cache indexes its extents through util::SortedMap64 instead.
 //
 // Compared to std::unordered_map this stores slots in one flat array (no
 // per-node allocation) and probes linearly (cache-friendly). erase() uses

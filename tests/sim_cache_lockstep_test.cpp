@@ -4,9 +4,10 @@
 // Randomized scripts drive both caches with identical operations, and after
 // every operation every observable must agree: each plan field, every
 // CacheMetrics counter, the dirty/clean/resident block counts,
-// owned_blocks() of every pid, and over_watermark(). Capacities of 4–64
-// blocks keep self-eviction (a request evicting blocks it already counted as
-// present), cap pressure and space waits common.
+// owned_blocks() of every pid, and over_watermark(). BufferCache::audit()
+// checks the extent cache's own bookkeeping after every operation too.
+// Capacities of 4–64 blocks keep self-eviction (a request evicting blocks it
+// already counted as present), cap pressure and space waits common.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -254,6 +255,7 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
 
     ASSERT_EQ(observe(pair->ext, pair->ext_metrics), observe(pair->ref, pair->ref_metrics))
         << where;
+    ASSERT_EQ(pair->ext.audit(), "") << where;
     if (::testing::Test::HasFailure()) return;
   }
   tally();
