@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -15,16 +16,17 @@ std::int64_t end_block_of(Bytes offset, Bytes length, Bytes block_size) {
   return (offset + length + block_size - 1) / block_size;
 }
 
-/// Appends blocks [first, first + n) of `file` to `runs` exactly as a
-/// block-at-a-time walk would: a block extends the last run when it is that
-/// run's next block and the run is shorter than `max_run` (<= 0: unlimited).
+/// Appends blocks [first, first + n) of `file`, held by cache slot `slot`,
+/// to `runs` exactly as a block-at-a-time walk would: a block extends the
+/// last run when it is that run's next block and the run is shorter than
+/// `max_run` (<= 0: unlimited). A new run takes `slot` as its hint.
 void append_blocks(std::vector<BlockRun>& runs, std::uint32_t file, std::int64_t first,
-                   std::int64_t n, std::int64_t max_run) {
+                   std::int64_t n, std::int64_t max_run, std::uint32_t slot) {
   while (n > 0) {
     const bool extends = !runs.empty() && runs.back().file == file &&
                          runs.back().first_block + runs.back().count == first &&
                          (max_run <= 0 || runs.back().count < max_run);
-    if (!extends) runs.push_back({file, first, 0});
+    if (!extends) runs.push_back({file, first, 0, slot});
     const std::int64_t add = max_run > 0 ? std::min(n, max_run - runs.back().count) : n;
     runs.back().count += add;
     first += add;
@@ -54,9 +56,15 @@ BufferCache::BufferCache(const CacheParams& params, CacheMetrics& metrics)
 
 bool BufferCache::mergeable(const Extent& front, const Extent& back) {
   return front.end() == back.key && file_of(front.key) == file_of(back.key) &&
-         front.state == back.state && front.owner == back.owner && front.op_id == back.op_id &&
-         front.dirty_since == back.dirty_since && front.from_readahead == back.from_readahead &&
-         front.redirtied == back.redirtied;
+         front.state == back.state && front.owner == back.owner && front.stamp == back.stamp &&
+         front.from_readahead == back.from_readahead && front.redirtied == back.redirtied;
+}
+
+void BufferCache::check_blocks(std::uint32_t file, std::int64_t first, std::int64_t end) {
+  if (end <= kBlockLimit) return;
+  throw Error("buffer cache: block " + std::to_string(std::max(first, kBlockLimit)) +
+              " of file " + std::to_string(file) + " is past the last cacheable block, " +
+              std::to_string(kBlockLimit - 1));
 }
 
 std::int64_t BufferCache::owned_blocks(std::uint32_t pid) const {
@@ -76,25 +84,53 @@ std::uint32_t BufferCache::owner_index(std::uint32_t pid) {
 
 BufferCache::Segment BufferCache::segment(std::uint64_t key, std::uint64_t end,
                                           std::uint32_t hint, std::uint32_t second) {
-  static_assert(kNil == util::SortedMap64::kNoValue);
-  // Successor links are exact, so from any live extent at or before `key`,
-  // `key` lies in it, in the gap after it, or in (or before) its successor.
-  // Only a hint more than one extent short of `key` is left to the index.
+  // The chain is exact, so from any live extent at or before `key`, `key`
+  // lies in it, in the gap after it, or in (or before) its successor. Only a
+  // hint more than one extent short of `key` is left to floor_of.
   for (const std::uint32_t from : {hint, second}) {
-    if (from == kNil || pool_[from].count == 0 || pool_[from].key > key) continue;
+    if (from >= pool_.size() || pool_[from].count == 0 || pool_[from].key > key) continue;
     const Extent& near = pool_[from];
     if (key < near.end()) return {from, std::min(near.end(), end), from};
-    if (near.succ == kNil) return {kNil, end, kNil};
+    if (near.succ == kNil) return {kNil, end, kNil, from};
     const Extent& succ = pool_[near.succ];
-    if (key < succ.key) return {kNil, std::min(succ.key, end), near.succ};
+    if (key < succ.key) return {kNil, std::min(succ.key, end), near.succ, from};
     if (key < succ.end()) return {near.succ, std::min(succ.end(), end), near.succ};
   }
-  ++index_ops_.lookups;
-  const util::SortedMap64::Around around = index_.around(key);
-  if (around.floor != kNil && key < pool_[around.floor].end()) {
-    return {around.floor, std::min(pool_[around.floor].end(), end), around.floor};
+  const std::uint32_t floor = floor_of(key);
+  if (floor != kNil && key < pool_[floor].end()) {
+    return {floor, std::min(pool_[floor].end(), end), floor};
   }
-  return {kNil, std::min(around.next, end), around.next_value};
+  const std::uint32_t next = floor != kNil ? pool_[floor].succ : chain_head_;
+  return {kNil, next != kNil ? std::min(pool_[next].key, end) : end, next, floor};
+}
+
+std::uint32_t BufferCache::floor_of(std::uint64_t key) {
+  static_assert(kNil == util::SortedMap64::kNoValue);
+  ++index_ops_.lookups;
+  std::uint32_t at = anchors_.floor(key);
+  if (at == kNil) {
+    at = chain_head_;
+    if (at == kNil || pool_[at].key > key) return kNil;
+  }
+  for (std::uint32_t steps = 1;; ++steps) {
+    const std::uint32_t next = pool_[at].succ;
+    if (next == kNil || pool_[next].key > key) return at;
+    at = next;
+    ++index_ops_.walk_steps;
+    if (steps % kAnchorStride == 0 && !pool_[at].anchored) {
+      anchors_.insert(pool_[at].key, at);
+      ++index_ops_.inserts;
+      pool_[at].anchored = true;
+    }
+  }
+}
+
+std::uint32_t BufferCache::gap_pred(const Segment& gap, std::uint64_t key) {
+  // reserve only frees slots, so a dead neighbour has not been reused, and a
+  // live one is still beside the gap: evictions remove extents but add none.
+  if (gap.before == kNil || pool_[gap.before].count != 0) return gap.before;
+  if (gap.after != kNil && pool_[gap.after].count != 0) return pool_[gap.after].pred;
+  return floor_of(key);
 }
 
 std::int64_t BufferCache::count_missing(Segment head, std::uint64_t first, std::uint64_t end) {
@@ -117,27 +153,29 @@ std::uint32_t BufferCache::alloc_slot() {
   return slot;
 }
 
-void BufferCache::index_extent(std::uint32_t slot) {
-  const util::SortedMap64::Neighbours around = index_.insert(pool_[slot].key, slot);
-  ++index_ops_.inserts;
-  pool_[slot].succ = around.next;
-  if (around.prev != kNil) pool_[around.prev].succ = slot;
-}
-
 void BufferCache::erase_extent(std::uint32_t slot) {
-  const util::SortedMap64::Neighbours around = index_.erase(pool_[slot].key);
-  ++index_ops_.erases;
-  if (around.prev != kNil) pool_[around.prev].succ = around.next;
-  pool_[slot].count = 0;          // dead: no lookup starts from it
-  pool_[slot].next = free_head_;  // free list threads through next
+  Extent& extent = pool_[slot];
+  if (extent.anchored) {
+    anchors_.erase(extent.key);
+    ++index_ops_.erases;
+  }
+  (extent.pred != kNil ? pool_[extent.pred].succ : chain_head_) = extent.succ;
+  if (extent.succ != kNil) pool_[extent.succ].pred = extent.pred;
+  extent.count = 0;          // dead: no lookup starts from it
+  extent.next = free_head_;  // free list threads through next
   free_head_ = slot;
 }
 
-std::uint32_t BufferCache::insert_extent(const Extent& extent) {
-  assert(extent.state != State::kClean && extent.count > 0);
+std::uint32_t BufferCache::insert_extent(const Extent& extent, std::uint32_t pred) {
+  assert(extent.state != State::kClean && extent.count > 0 && !extent.anchored);
   const std::uint32_t slot = alloc_slot();
-  pool_[slot] = extent;
-  index_extent(slot);
+  Extent& inserted = pool_[slot];
+  inserted = extent;
+  std::uint32_t& link = pred != kNil ? pool_[pred].succ : chain_head_;
+  inserted.pred = pred;
+  inserted.succ = link;
+  if (link != kNil) pool_[link].pred = slot;
+  link = slot;
   return extent.state == State::kDirty ? dirty_link(slot) : slot;
 }
 
@@ -149,8 +187,11 @@ std::uint32_t BufferCache::split(std::uint32_t slot, std::uint64_t at) {
   back = front;
   back.key = at;
   back.count = static_cast<std::uint32_t>(front.end() - at);
+  back.anchored = false;
   front.count = static_cast<std::uint32_t>(at - front.key);
-  index_extent(back_slot);
+  back.pred = slot;
+  if (back.succ != kNil) pool_[back.succ].pred = back_slot;
+  front.succ = back_slot;
   if (front.state == State::kClean || front.state == State::kDirty) {
     back.prev = slot;
     if (front.next != kNil) {
@@ -355,8 +396,10 @@ void BufferCache::evict_front(std::uint32_t slot, std::int64_t n) {
   clean_count_ -= n;
   owner.clean -= n;
   const std::uint64_t key = extent.key + static_cast<std::uint64_t>(n);
-  index_.rekey(extent.key, key);
-  ++index_ops_.rekeys;
+  if (extent.anchored) {
+    anchors_.rekey(extent.key, key);
+    ++index_ops_.rekeys;
+  }
   extent.key = key;
 }
 
@@ -405,7 +448,8 @@ std::uint32_t BufferCache::touch(std::uint32_t slot, std::uint64_t first, std::u
 std::uint32_t BufferCache::make_dirty(std::uint32_t slot, std::uint64_t first, std::uint64_t end,
                                       std::uint32_t owner, Ticks now) {
   const State state = pool_[slot].state;
-  if (state == State::kDirty && pool_[slot].owner == owner && pool_[slot].dirty_since == now) {
+  if (state == State::kDirty && pool_[slot].owner == owner &&
+      pool_[slot].stamp == stamp_of(now)) {
     return slot;
   }
   slot = isolate(slot, first, end);
@@ -414,14 +458,13 @@ std::uint32_t BufferCache::make_dirty(std::uint32_t slot, std::uint64_t first, s
   // Re-owned without moving owned counts, as the per-block cache did.
   extent.owner = owner;
   extent.from_readahead = false;
-  extent.dirty_since = now;
+  extent.stamp = stamp_of(now);  // over a Fetching extent's op id
   switch (state) {
     case State::kClean:
     case State::kFetching:
       // A Fetching block overwritten before its fetch landed: the fetched
       // data is stale.
       extent.state = State::kDirty;
-      extent.op_id = 0;
       return dirty_link(slot);
     case State::kDirty:
       return dirty_merge(slot);
@@ -446,8 +489,7 @@ std::uint32_t BufferCache::write_through(std::uint32_t slot, std::uint64_t first
   extent.from_readahead = false;
   if (state != State::kFlushing) {
     extent.state = State::kFlushing;
-    extent.op_id = 0;
-    extent.dirty_since = Ticks::zero();
+    extent.stamp = 0;
   }
   return slot;
 }
@@ -459,6 +501,7 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   const std::int64_t b0 = first_block_of(offset, bs);
   const std::int64_t b1 = end_block_of(offset, length, bs);
   const std::int64_t span = b1 - b0;
+  check_blocks(file, b0, b1);
   ++metrics_->read_requests;
 
   if (span > capacity_blocks_) {
@@ -487,22 +530,24 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   std::int64_t present = 0;
   std::uint32_t at = head.after;
   for (std::uint64_t k = first; k < end;) {
-    auto [slot, seg_end, after] = k == first ? head : segment(k, end, at);
+    const Segment seg = k == first ? head : segment(k, end, at);
+    const std::uint64_t seg_end = seg.end;
+    std::uint32_t slot = seg.slot;
     const auto n = static_cast<std::int64_t>(seg_end - k);
     if (slot == kNil) {
       const std::int64_t block = block_of(k);
       const bool extends_run = !plan.fetch_runs.empty() &&
                                plan.fetch_runs.back().first_block + plan.fetch_runs.back().count ==
                                    block;
-      if (!extends_run) plan.fetch_runs.push_back({file, block, 0});
       reserve(n, owner);
       Extent fetching;
       fetching.key = k;
       fetching.count = static_cast<std::uint32_t>(n);
       fetching.state = State::kFetching;
       fetching.owner = owner;
-      fetching.op_id = first_op_id + plan.fetch_runs.size() - 1;
-      at = insert_extent(fetching);
+      fetching.stamp = first_op_id + plan.fetch_runs.size() - (extends_run ? 1 : 0);
+      at = insert_extent(fetching, gap_pred(seg, k));
+      if (!extends_run) plan.fetch_runs.push_back({file, block, 0, at});
       plan.fetch_runs.back().count += n;
     } else {
       present += n;
@@ -517,9 +562,9 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
       if (hit.state == State::kClean) {
         at = touch(slot, k, seg_end);
       } else if (hit.state == State::kFetching &&
-                 std::find(plan.join_ops.begin(), plan.join_ops.end(), hit.op_id) ==
+                 std::find(plan.join_ops.begin(), plan.join_ops.end(), hit.op_id()) ==
                      plan.join_ops.end()) {
-        plan.join_ops.push_back(hit.op_id);
+        plan.join_ops.push_back(hit.op_id());
       }
       // Dirty/Flushing blocks hold valid data: plain hits.
     }
@@ -559,6 +604,7 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
   const std::int64_t b0 = first_block_of(offset, bs);
   const std::int64_t b1 = end_block_of(offset, length, bs);
   const std::int64_t span = b1 - b0;
+  check_blocks(file, b0, b1);
   ++metrics_->write_requests;
 
   if (span > capacity_blocks_) {
@@ -581,30 +627,32 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
   // under write-through every block goes to disk now.
   const std::uint32_t owner = owner_index(pid);
   std::uint32_t at = head.after;
+  std::uint32_t first_slot = kNil;  // holds block b0 once the walk has handled it
   for (std::uint64_t k = first; k < end;) {
-    const auto [slot, seg_end, after] = k == first ? head : segment(k, end, at);
-    if (slot == kNil) {
-      reserve(static_cast<std::int64_t>(seg_end - k), owner);
+    const Segment seg = k == first ? head : segment(k, end, at);
+    if (seg.slot == kNil) {
+      reserve(static_cast<std::int64_t>(seg.end - k), owner);
       Extent fresh;
       fresh.key = k;
-      fresh.count = static_cast<std::uint32_t>(seg_end - k);
+      fresh.count = static_cast<std::uint32_t>(seg.end - k);
       fresh.owner = owner;
       fresh.state = write_behind ? State::kDirty : State::kFlushing;
-      if (write_behind) fresh.dirty_since = now;
-      at = insert_extent(fresh);
+      if (write_behind) fresh.stamp = stamp_of(now);
+      at = insert_extent(fresh, gap_pred(seg, k));
     } else if (write_behind) {
-      at = make_dirty(slot, k, seg_end, owner, now);
+      at = make_dirty(seg.slot, k, seg.end, owner, now);
     } else {
-      at = write_through(slot, k, seg_end, owner);
+      at = write_through(seg.slot, k, seg.end, owner);
     }
-    k = seg_end;
+    if (k == first) first_slot = at;
+    k = seg.end;
   }
   file_state.finger = last_walk_ = at;
   if (write_behind) {
     plan.absorbed = true;
     ++metrics_->write_absorbed;
   } else if (span > 0) {
-    plan.writethrough_runs.push_back({file, b0, span});
+    plan.writethrough_runs.push_back({file, b0, span, first_slot});
   }
 
   // Writes also advance the sequential detector (appending writes should not
@@ -616,7 +664,9 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
 std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
                                                          const BlockRun& candidate,
                                                          std::uint64_t op_id) {
-  if (candidate.count <= 0) return std::nullopt;
+  if (candidate.count <= 0 || candidate.first_block + candidate.count > kBlockLimit) {
+    return std::nullopt;
+  }
   // Only prefetch when the whole candidate is absent (the frontier case).
   const std::uint64_t first = key_of(candidate.file, candidate.first_block);
   const std::uint64_t end = first + static_cast<std::uint64_t>(candidate.count);
@@ -630,12 +680,14 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
   prefetch.count = static_cast<std::uint32_t>(candidate.count);  // can_allocate bounds it
   prefetch.state = State::kFetching;
   prefetch.owner = owner;
-  prefetch.op_id = op_id;
+  prefetch.stamp = op_id;
   prefetch.from_readahead = true;
-  last_walk_ = insert_extent(prefetch);
+  last_walk_ = insert_extent(prefetch, gap_pred(seg, first));
   ++metrics_->readahead_issued;
   metrics_->readahead_fetched_blocks += candidate.count;
-  return candidate;
+  BlockRun issued = candidate;
+  issued.hint = last_walk_;
+  return issued;
 }
 
 // Completions ignore op ids: every Fetching (Flushing) block in the run
@@ -646,15 +698,15 @@ void BufferCache::fetch_complete(const BlockRun& run) {
       first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
   std::uint32_t at = last_walk_;
   for (std::uint64_t k = first; k < end;) {
-    auto [slot, seg_end, after] = segment(k, end, at);
-    at = after;
-    if (slot != kNil && pool_[slot].state == State::kFetching) {  // else overwritten meanwhile
-      slot = isolate(slot, k, seg_end);
+    const Segment seg = k == first ? segment(k, end, run.hint, at) : segment(k, end, at);
+    at = seg.after;
+    if (seg.slot != kNil && pool_[seg.slot].state == State::kFetching) {  // else overwritten
+      const std::uint32_t slot = isolate(seg.slot, k, seg.end);
       pool_[slot].state = State::kClean;
-      pool_[slot].op_id = 0;
+      pool_[slot].stamp = 0;
       at = clean_push_back(slot);
     }
-    k = seg_end;
+    k = seg.end;
   }
   last_walk_ = at;
 }
@@ -665,10 +717,10 @@ void BufferCache::flush_complete(const BlockRun& run) {
       first + static_cast<std::uint64_t>(std::max<std::int64_t>(run.count, 0));
   std::uint32_t at = last_walk_;
   for (std::uint64_t k = first; k < end;) {
-    auto [slot, seg_end, after] = segment(k, end, at);
-    at = after;
-    if (slot != kNil && pool_[slot].state == State::kFlushing) {
-      slot = isolate(slot, k, seg_end);
+    const Segment seg = k == first ? segment(k, end, run.hint, at) : segment(k, end, at);
+    at = seg.after;
+    if (seg.slot != kNil && pool_[seg.slot].state == State::kFlushing) {
+      const std::uint32_t slot = isolate(seg.slot, k, seg.end);
       Extent& extent = pool_[slot];
       if (extent.redirtied) {
         extent.redirtied = false;
@@ -676,11 +728,11 @@ void BufferCache::flush_complete(const BlockRun& run) {
         at = dirty_link(slot);
       } else {
         extent.state = State::kClean;
-        extent.dirty_since = Ticks::zero();
+        extent.stamp = 0;
         at = clean_push_back(slot);
       }
     }
-    k = seg_end;
+    k = seg.end;
   }
   last_walk_ = at;
 }
@@ -694,7 +746,7 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
   while (taken < max_blocks && cursor != kNil) {
     assert(pool_[cursor].state == State::kDirty);
     const std::uint32_t next = pool_[cursor].next;
-    if (min_age > Ticks::zero() && pool_[cursor].dirty_since + min_age > now) {
+    if (min_age > Ticks::zero() && pool_[cursor].dirty_since() + min_age > now) {
       cursor = next;  // still younger than the delayed-write threshold
       continue;
     }
@@ -707,9 +759,9 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
     dirty_unlink(cursor);
     Extent& extent = pool_[cursor];
     extent.state = State::kFlushing;
-    extent.dirty_since = Ticks::zero();
+    extent.stamp = 0;
     taken += take;
-    append_blocks(runs, file_of(extent.key), block_of(extent.key), take, max_run_blocks);
+    append_blocks(runs, file_of(extent.key), block_of(extent.key), take, max_run_blocks, cursor);
     cursor = next;
   }
   return runs;
@@ -717,9 +769,11 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
 
 std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
   std::int64_t cancelled = 0;
-  ++index_ops_.lookups;
-  const auto first = index_.ceil(key_of(file, 0));
-  std::uint32_t slot = first ? first->value : kNil;
+  const std::uint64_t first = key_of(file, 0);
+  const std::uint32_t floor = floor_of(first);
+  std::uint32_t slot = floor == kNil                ? chain_head_
+                       : pool_[floor].key == first ? floor
+                                                   : pool_[floor].succ;
   while (slot != kNil && file_of(pool_[slot].key) == file) {
     Extent& extent = pool_[slot];
     const std::uint32_t succ = extent.succ;
@@ -758,32 +812,56 @@ std::string BufferCache::audit() const {
     return " (file " + std::to_string(file_of(key)) + ", block " +
            std::to_string(block_of(key)) + ")";
   };
-  // The successor chain from the least key, against the index.
-  const auto least = index_.ceil(0);
-  std::uint32_t link = least ? least->value : kNil;
+  // The chain from its head: ascending keys, no overlap, `pred` mirroring
+  // `succ`, anchors indexed under their keys.
   std::uint64_t covered = 0;  // end of the previous extent
   std::int64_t live = 0;
-  for (auto entry = least; entry; entry = index_.ceil(entry->key + 1)) {
-    const Extent& extent = pool_[entry->value];
-    if (link != entry->value) return "successor chain leaves the index" + at(entry->key);
-    if (extent.key != entry->key) return "extent key differs from its index key" + at(entry->key);
-    if (extent.count == 0) return "live extent holds no blocks" + at(entry->key);
-    if (extent.key < covered) return "extent overlaps its predecessor" + at(entry->key);
+  std::size_t chained = 0;
+  std::size_t anchored = 0;
+  std::uint32_t behind = kNil;  // the previous extent on the chain
+  for (std::uint32_t slot = chain_head_; slot != kNil; slot = pool_[slot].succ) {
+    const Extent& extent = pool_[slot];
+    if (++chained > pool_.size()) return "chain loops";
+    if (extent.count == 0) return "chain holds a dead slot" + at(extent.key);
+    if (extent.pred != behind) return "pred does not mirror succ" + at(extent.key);
+    if (extent.key < covered) return "extent overlaps its predecessor" + at(extent.key);
+    if (extent.anchored) {
+      const auto entry = anchors_.ceil(extent.key);
+      if (!entry || entry->key != extent.key || entry->value != slot) {
+        return "anchored extent missing from the index" + at(extent.key);
+      }
+      ++anchored;
+    }
+    const bool stamped = extent.state == State::kFetching || extent.state == State::kDirty ||
+                         (extent.state == State::kFlushing && extent.redirtied);
+    if (extent.stamp != 0 && !stamped) {
+      return "op id or dirty time outside Fetching, Dirty and redirtied Flushing" +
+             at(extent.key);
+    }
+    if (extent.redirtied && extent.state != State::kFlushing) {
+      return "redirtied extent is not Flushing" + at(extent.key);
+    }
     covered = extent.end();
     live += extent.count;
-    link = extent.succ;
+    behind = slot;
   }
-  if (link != kNil) return "successor chain runs past the index's last key";
   if (live != live_count_) {
     return "live extents hold " + std::to_string(live) + " blocks, resident count is " +
            std::to_string(live_count_);
   }
+  for (auto entry = anchors_.ceil(0); entry; entry = anchors_.ceil(entry->key + 1)) {
+    const Extent& extent = pool_[entry->value];
+    if (extent.count == 0 || !extent.anchored || extent.key != entry->key) {
+      return "index entry names no live anchored extent with its key" + at(entry->key);
+    }
+  }
+  if (anchored != anchors_.size()) return "index holds extents the chain does not anchor";
   std::size_t dead = 0;
   for (std::uint32_t slot = free_head_; slot != kNil; slot = pool_[slot].next) {
     if (pool_[slot].count != 0) return "free slot " + std::to_string(slot) + " holds blocks";
     if (++dead > pool_.size()) return "free list loops";
   }
-  if (dead + index_.size() != pool_.size()) return "slots neither free nor indexed";
+  if (dead + chained != pool_.size()) return "slots neither free nor chained";
 
   // Blocks on the list from `head` through `next`, or -1 unless every extent
   // on it is live and `belongs`, its back links hold and it ends at `tail`.

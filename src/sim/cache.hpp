@@ -9,8 +9,8 @@
 // Storage layout (hot path): bookkeeping is per *extent*, a run of
 // key-contiguous blocks of one file that share state, owner, fetch op, dirty
 // time and flags. Extents live in a slot pool (stable indices, free-list
-// recycled) behind an index ordered by (file, first block). The clean LRU and
-// the key-ordered dirty list are intrusive lists of extents. An operation
+// recycled), chained in (file, first block) order. The clean LRU and the
+// key-ordered dirty list are intrusive lists of extents. An operation
 // that covers part of an extent splits it, and an extent that continues its
 // list neighbour with the same attributes merges into it, so a 128-block
 // request costs a handful of extent operations instead of 128 block ones.
@@ -28,10 +28,14 @@
 //    walks its blocks one segment (an extent's blocks, or a run of absent
 //    blocks) at a time and looks each segment up afresh.
 //
-// Every extent links to its successor in key order, so most lookups start
-// from a nearby extent instead of searching the index: the extent the walk
-// just handled, the extent where the file's last request ended, or the
-// extent where the cache's last walk ended (docs/PERF.md, "Buffer cache").
+// The extents form one chain in key order, linked both ways (`succ`,
+// `pred`), so a split, an insert into a gap, a merge or an eviction relinks
+// its neighbours in O(1). Most lookups start from a nearby extent: the
+// extent the walk just handled, the extent where the file's last request
+// ended, the extent a completion's plan created, or the extent where the
+// cache's last walk ended. The few that none of these resolves start at an
+// *anchor*, an extent the ordered index holds, and walk the chain forward
+// (docs/PERF.md, "Buffer cache").
 #pragma once
 
 #include <cstdint>
@@ -49,22 +53,32 @@ namespace craysim::sim {
 
 /// A contiguous block range of one file (unit: cache blocks).
 struct BlockRun {
+  static constexpr std::uint32_t kNoHint = 0xffffffffu;
+
   std::uint32_t file = 0;
   std::int64_t first_block = 0;
   std::int64_t count = 0;
+  /// For a run the cache planned: the cache slot that held the run's first
+  /// block, where the run's completion starts its lookup. It is advice (any
+  /// value is safe), so runs compare equal by their blocks alone.
+  std::uint32_t hint = kNoHint;
 
   [[nodiscard]] Bytes bytes(Bytes block_size) const { return count * block_size; }
-  friend bool operator==(const BlockRun&, const BlockRun&) = default;
+  friend bool operator==(const BlockRun& a, const BlockRun& b) {
+    return a.file == b.file && a.first_block == b.first_block && a.count == b.count;
+  }
 };
 
-/// Operations on the buffer cache's ordered extent index: a deterministic
-/// measure of the cache's work, kept out of CacheMetrics and SimResult.
+/// Operations on the buffer cache's anchor index, and the chain steps of
+/// the lookups that searched it: a deterministic measure of the cache's
+/// work, kept out of CacheMetrics and SimResult.
 struct CacheIndexOps {
-  std::uint64_t lookups = 0;  ///< searches: segment lookups no neighbour resolved,
+  std::uint64_t lookups = 0;  ///< searches: lookups no neighbour resolved,
                               ///< and one per invalidate_file
-  std::uint64_t inserts = 0;
-  std::uint64_t erases = 0;
-  std::uint64_t rekeys = 0;   ///< an extent's first key moved up in place
+  std::uint64_t inserts = 0;  ///< an extent anchored
+  std::uint64_t erases = 0;   ///< an anchored extent merged away or evicted
+  std::uint64_t rekeys = 0;   ///< an anchored extent's first key moved up in place
+  std::uint64_t walk_steps = 0;  ///< chain steps those searches took from their anchor
 };
 
 class BufferCache {
@@ -88,6 +102,13 @@ class BufferCache {
     std::vector<BlockRun> writethrough_runs; ///< must reach disk before returning
   };
 
+  /// Keys pack `file << 32 | block`, and the key one past a request's last
+  /// block must pack too, so block numbers stop below 2^32 - 1.
+  static constexpr std::int64_t kBlockLimit = (std::int64_t{1} << 32) - 1;
+  /// Throws craysim::Error, naming the file and the first block at or past
+  /// kBlockLimit, unless blocks [first, end) of `file` lie below it.
+  static void check_blocks(std::uint32_t file, std::int64_t first, std::int64_t end);
+
   /// Plans a read. On success, missing blocks are inserted in Fetching
   /// state; the blocks of fetch_runs[i] are tagged with operation id
   /// `first_op_id + i`, and the caller must issue run i under exactly that
@@ -95,7 +116,9 @@ class BufferCache {
   /// or bypass is returned. Inserting can evict blocks of the same request
   /// that were counted present; if that leaves an insert with no clean block
   /// to evict, the request throws craysim::Error (as plan_write and
-  /// try_issue_readahead do in the same situation).
+  /// try_issue_readahead do in the same situation). A request that reaches
+  /// block kBlockLimit throws craysim::Error before anything is counted, as
+  /// in plan_write.
   [[nodiscard]] ReadPlan plan_read(std::uint32_t pid, std::uint32_t file, Bytes offset,
                                    Bytes length, std::uint64_t first_op_id);
 
@@ -107,15 +130,18 @@ class BufferCache {
                                      Ticks now = Ticks::zero());
 
   /// Attempts to start the suggested prefetch. Never waits: returns nullopt
-  /// when blocks are already present/in-flight or space is unavailable.
+  /// when blocks are already present/in-flight, space is unavailable or the
+  /// candidate reaches block kBlockLimit.
   [[nodiscard]] std::optional<BlockRun> try_issue_readahead(std::uint32_t pid,
                                                             const BlockRun& candidate,
                                                             std::uint64_t op_id);
 
-  /// Marks a completed demand/readahead fetch: Fetching -> Clean.
+  /// Marks a completed demand/readahead fetch: Fetching -> Clean. The lookup
+  /// starts from `run.hint`, as the plan set it.
   void fetch_complete(const BlockRun& run);
 
-  /// Marks a completed flush or write-through: Flushing -> Clean.
+  /// Marks a completed flush or write-through: Flushing -> Clean. The lookup
+  /// starts from `run.hint`, as the plan or flush batch set it.
   void flush_complete(const BlockRun& run);
 
   /// Collects up to `max_blocks` dirty blocks into contiguous runs (each at
@@ -145,28 +171,34 @@ class BufferCache {
   [[nodiscard]] std::int64_t owned_blocks(std::uint32_t pid) const;
   [[nodiscard]] const CacheIndexOps& index_ops() const { return index_ops_; }
 
-  /// Checks the bookkeeping against itself: the successor chain visits the
-  /// index's keys in order without overlap, every live extent holds blocks,
-  /// the clean, dirty and per-owner lists sum to their counts, and the live
-  /// extents sum to resident_blocks(). Returns the first violation found, or
-  /// an empty string. For tests: it walks every extent.
+  /// Checks the bookkeeping against itself: the chain visits the live
+  /// extents in key order without overlap and `pred` mirrors `succ`, the
+  /// index holds exactly the anchored extents under their keys, op ids and
+  /// dirty times appear only in the states that read them, the clean, dirty
+  /// and per-owner lists sum to their counts, and the live extents sum to
+  /// resident_blocks(). Returns the first violation found, or an empty
+  /// string. For tests: it walks every extent.
   [[nodiscard]] std::string audit() const;
 
  private:
   enum class State : std::uint8_t { kClean, kDirty, kFetching, kFlushing };
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static_assert(kNil == BlockRun::kNoHint);
+  /// A lookup's walk anchors every kAnchorStride-th extent it passes.
+  static constexpr std::uint32_t kAnchorStride = 16;
 
-  /// `count` blocks from `key` on that share every attribute. Attributes a
-  /// state never reads are held at zero (op_id outside Fetching; dirty_since
-  /// outside Dirty and redirtied Flushing) so that neighbours can merge.
+  /// `count` blocks from `key` on that share every attribute.
   struct Extent {
     std::uint64_t key = 0;         ///< file<<32 | first block
-    std::uint64_t op_id = 0;       ///< fetch op while Fetching
-    Ticks dirty_since;             ///< when the blocks were last made dirty
+    /// The fetch op id while Fetching; when the blocks were last made dirty
+    /// (a Ticks count) while Dirty or redirtied Flushing; zero otherwise, so
+    /// that neighbours can merge. No state reads both, so they share a field.
+    std::uint64_t stamp = 0;
     std::uint32_t count = 0;       ///< blocks; 0 while the slot is dead
     std::uint32_t owner = 0;       ///< index into owners_
-    std::uint32_t succ = kNil;     ///< the extent with the next key in the index
+    std::uint32_t succ = kNil;     ///< the extent with the next key
+    std::uint32_t pred = kNil;     ///< the extent with the previous key
     // Intrusive list links (slot indices): the clean LRU while Clean, the
     // key-ordered dirty list while Dirty (the states are disjoint, so one
     // pair of links serves both) — and the free list through `next` while
@@ -178,8 +210,11 @@ class BufferCache {
     State state = State::kClean;
     bool from_readahead = false;   ///< fetched by prefetch, not yet referenced
     bool redirtied = false;        ///< written while Flushing
+    bool anchored = false;         ///< held by the index under `key`
 
     [[nodiscard]] std::uint64_t end() const { return key + count; }
+    [[nodiscard]] std::uint64_t op_id() const { return stamp; }
+    [[nodiscard]] Ticks dirty_since() const { return Ticks(static_cast<std::int64_t>(stamp)); }
   };
   // A pass over a large cache touches every extent of its working set: a
   // 64-byte extent raised cache_sweep's peak RSS by 9 %.
@@ -203,6 +238,9 @@ class BufferCache {
   static std::int64_t block_of(std::uint64_t key) {
     return static_cast<std::int64_t>(key & 0xffffffffull);
   }
+  static std::uint64_t stamp_of(Ticks dirty_since) {
+    return static_cast<std::uint64_t>(dirty_since.count());
+  }
   /// Can `back` fold into `front`: same attributes, and `back` starts where
   /// `front` ends?
   static bool mergeable(const Extent& front, const Extent& back);
@@ -212,7 +250,10 @@ class BufferCache {
   struct Segment {
     std::uint32_t slot = kNil;
     std::uint64_t end = 0;
-    std::uint32_t after = kNil;  ///< where the next segment's lookup starts
+    /// Where the next segment's lookup starts: `slot`, or for absent blocks
+    /// the extent after them (kNil: none).
+    std::uint32_t after = kNil;
+    std::uint32_t before = kNil;  ///< for absent blocks: the extent before them
   };
 
   [[nodiscard]] std::int64_t free_blocks() const { return capacity_blocks_ - live_count_; }
@@ -221,10 +262,19 @@ class BufferCache {
   /// The segment starting at `key`: the extent holding `key` up to its end
   /// or `end`, or the absent blocks up to the next extent or `end`. It is
   /// read off `hint`, else `second`, when one is a live extent at or before
-  /// `key` that holds it or whose successor holds it or bounds its gap;
-  /// otherwise the index is searched.
+  /// `key` that holds it or whose successor holds it or bounds its gap; any
+  /// other value, a slot number out of range included, is passed over. The
+  /// rest is left to floor_of.
   [[nodiscard]] Segment segment(std::uint64_t key, std::uint64_t end, std::uint32_t hint,
                                 std::uint32_t second = kNil);
+  /// The live extent with the greatest key at or before `key` (kNil: none):
+  /// a walk along the chain from the greatest anchor at or before `key`, or
+  /// from the chain's head, anchoring every kAnchorStride-th extent it passes.
+  std::uint32_t floor_of(std::uint64_t key);
+  /// The extent just before the absent blocks of `gap`, which starts at
+  /// `key`, once reserve's evictions have run: gap.before if it lives, else
+  /// the predecessor of gap.after if that lives, else floor_of.
+  std::uint32_t gap_pred(const Segment& gap, std::uint64_t key);
   /// Absent blocks in [first, end), given `head` = segment(first, end).
   [[nodiscard]] std::int64_t count_missing(Segment head, std::uint64_t first,
                                            std::uint64_t end);
@@ -236,10 +286,10 @@ class BufferCache {
   void reserve(std::int64_t n, std::uint32_t owner);
   /// Evicts the `n` lowest (least recently used) blocks of clean extent `slot`.
   void evict_front(std::uint32_t slot, std::int64_t n);
-  /// Indexes a new Fetching, Dirty or Flushing extent (linking a Dirty one);
-  /// returns the extent that holds its blocks (a Dirty one may fold into the
-  /// extent before it).
-  std::uint32_t insert_extent(const Extent& extent);
+  /// Chains a new Fetching, Dirty or Flushing extent after `pred` (kNil: at
+  /// the head), linking a Dirty one; returns the extent that holds its
+  /// blocks (a Dirty one may fold into the extent before it).
+  std::uint32_t insert_extent(const Extent& extent, std::uint32_t pred);
   /// Splits `slot` at key `at`, strictly inside it; the back part follows the
   /// front on its lists. Returns the back part.
   std::uint32_t split(std::uint32_t slot, std::uint64_t at);
@@ -271,10 +321,8 @@ class BufferCache {
   /// Folds dirty extent `slot` into the list neighbours it continues.
   std::uint32_t dirty_merge(std::uint32_t slot);
   std::uint32_t alloc_slot();
-  /// Indexes live extent `slot` and links it between its key neighbours.
-  void index_extent(std::uint32_t slot);
-  /// Drops `slot` from the index, links its key neighbours to each other and
-  /// releases the slot to the free list.
+  /// Unlinks `slot` from the chain (and the index, when anchored) and
+  /// releases it to the free list.
   void erase_extent(std::uint32_t slot);
 
   CacheParams params_;
@@ -283,7 +331,8 @@ class BufferCache {
   std::int64_t cap_blocks_per_process_;  ///< 0 = unlimited
   std::vector<Extent> pool_;             ///< slot storage, stable indices
   std::uint32_t free_head_ = kNil;       ///< free list through next
-  util::SortedMap64 index_;              ///< first key -> slot
+  std::uint32_t chain_head_ = kNil;      ///< the live extent with the least key
+  util::SortedMap64 anchors_;            ///< first key -> slot, anchored extents only
   std::uint32_t lru_head_ = kNil;        ///< clean extents, LRU at head
   std::uint32_t lru_tail_ = kNil;        ///< MRU end
   std::int64_t clean_count_ = 0;         ///< counts are in blocks

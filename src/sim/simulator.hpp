@@ -56,8 +56,9 @@ class Simulator {
   /// expiries, dispatches after a bypass transfer) is not counted.
   [[nodiscard]] std::uint64_t events_scheduled() const { return next_seq_; }
 
-  /// Operations run() did on the buffer cache's extent index (all zero
-  /// without a cache): deterministic, and kept out of SimResult.
+  /// Operations run() did on the buffer cache's anchor index, and the chain
+  /// steps of its searches (all zero without a cache): deterministic, and
+  /// kept out of SimResult.
   [[nodiscard]] CacheIndexOps cache_index_ops() const {
     return cache_ ? cache_->index_ops() : CacheIndexOps{};
   }
@@ -127,7 +128,7 @@ class Simulator {
   struct IoOp {
     enum class Kind : std::uint8_t { kFetch, kReadAhead, kFlush, kWriteThrough };
     Kind kind = Kind::kFetch;
-    BlockRun run;
+    BlockRun run;  ///< as the cache planned it: its hint starts the completion's lookup
     // Almost every op has zero or one waiter; inline storage avoids a heap
     // allocation per submitted I/O.
     util::SmallVec<std::uint32_t, 2> waiters;

@@ -152,6 +152,8 @@ class BinaryTraceReader final : public RecordSource {
   [[nodiscard]] std::optional<TraceRecord> next() override;
 
   [[nodiscard]] std::int64_t records_read() const { return records_read_; }
+  /// Span mode: bytes of the span decoded so far, header included.
+  [[nodiscard]] std::size_t consumed() const { return pos_; }
 
  private:
   /// Tops the buffer up to at least kMaxBinaryRecordBytes (or EOF) and

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 namespace craysim::trace {
@@ -35,13 +36,16 @@ std::optional<MappedFile> MappedFile::open(const std::string& path) {
 }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      released_(std::exchange(other.released_, 0)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
     if (data_ != nullptr) ::munmap(data_, size_);
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    released_ = std::exchange(other.released_, 0);
   }
   return *this;
 }
@@ -52,6 +56,14 @@ MappedFile::~MappedFile() {
 
 void MappedFile::advise_sequential() const {
   if (data_ != nullptr) (void)::madvise(data_, size_, MADV_SEQUENTIAL);
+}
+
+void MappedFile::release_prefix(std::size_t bytes) {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t end = std::min(bytes, size_) / page * page;
+  if (data_ == nullptr || end <= released_) return;
+  (void)::madvise(static_cast<char*>(data_) + released_, end - released_, MADV_DONTNEED);
+  released_ = end;
 }
 
 }  // namespace craysim::trace

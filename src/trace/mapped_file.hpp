@@ -55,11 +55,19 @@ class MappedFile {
   /// (readahead up, page retention down). Advisory; errors are ignored.
   void advise_sequential() const;
 
+  /// Drops the pages that lie wholly inside the first `bytes` bytes, and
+  /// that no earlier call dropped, from this process's resident set
+  /// (madvise MADV_DONTNEED). The mapping is private and read-only, so a
+  /// dropped page that is read again faults back in from the file,
+  /// unchanged; the view stays valid. Advisory; errors are ignored.
+  void release_prefix(std::size_t bytes);
+
  private:
   MappedFile(void* data, std::size_t size) : data_(data), size_(size) {}
 
   void* data_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t released_ = 0;  ///< page-aligned prefix already dropped
 };
 
 }  // namespace craysim::trace

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -216,26 +217,37 @@ namespace {
 // buffer). Member order matters: the reader is declared after the storage it
 // borrows from so construction and destruction sequence correctly.
 
-class MappedTextSource final : public RecordSource {
+/// A TraceTextReader or BinaryTraceReader over a mapping. Every
+/// kReleaseBytes it reads, it drops the pages behind it from the resident
+/// set, which therefore stays within a few MB whatever the trace size.
+template <typename Reader>
+class MappedSource final : public RecordSource {
  public:
-  explicit MappedTextSource(MappedFile mapped)
-      : mapped_(std::move(mapped)), reader_(mapped_.view()) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
+  static constexpr std::size_t kReleaseBytes = std::size_t{4} << 20;
+
+  explicit MappedSource(MappedFile mapped)
+      : mapped_(std::move(mapped)), reader_(contents(mapped_)) {}
+  [[nodiscard]] std::optional<TraceRecord> next() override {
+    std::optional<TraceRecord> record = reader_.next();
+    if (reader_.consumed() >= release_at_) {
+      mapped_.release_prefix(reader_.consumed());
+      release_at_ = reader_.consumed() + kReleaseBytes;
+    }
+    return record;
+  }
 
  private:
-  MappedFile mapped_;
-  TraceTextReader reader_;
-};
+  static auto contents(const MappedFile& mapped) {
+    if constexpr (std::is_same_v<Reader, TraceTextReader>) {
+      return mapped.view();
+    } else {
+      return mapped.bytes();
+    }
+  }
 
-class MappedBinarySource final : public RecordSource {
- public:
-  explicit MappedBinarySource(MappedFile mapped)
-      : mapped_(std::move(mapped)), reader_(mapped_.bytes()) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
   MappedFile mapped_;
-  BinaryTraceReader reader_;
+  Reader reader_;
+  std::size_t release_at_ = kReleaseBytes;
 };
 
 class FileTextSource final : public RecordSource {
@@ -297,9 +309,9 @@ std::unique_ptr<RecordSource> open_record_stream(const std::string& path,
                                                            : TraceFormat::kText;
       }
       if (format == TraceFormat::kBinary) {
-        return std::make_unique<MappedBinarySource>(std::move(*mapped));
+        return std::make_unique<MappedSource<BinaryTraceReader>>(std::move(*mapped));
       }
-      return std::make_unique<MappedTextSource>(std::move(*mapped));
+      return std::make_unique<MappedSource<TraceTextReader>>(std::move(*mapped));
     }
   }
 

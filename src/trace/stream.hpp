@@ -151,6 +151,8 @@ class TraceTextReader final : public RecordSource {
   [[nodiscard]] std::optional<TraceRecord> next() override;
 
   [[nodiscard]] std::int64_t line_number() const { return line_number_; }
+  /// Bytes of the text read so far.
+  [[nodiscard]] std::size_t consumed() const { return pos_; }
   [[nodiscard]] const AsciiTraceDecoder& decoder() const { return decoder_; }
   [[nodiscard]] bool recovering() const { return recovery_.has_value(); }
   /// Defect log so far (meaningful in recoverable mode only).
@@ -217,10 +219,11 @@ enum class TraceFormat {
 struct StreamOptions {
   TraceFormat format = TraceFormat::kAuto;
 
-  /// Map regular files read-only and walk the mapping zero-copy (fastest;
-  /// resident set can grow toward the file size as pages are touched). Set
-  /// false to force bounded-buffer streamed reads — peak RSS independent of
-  /// trace size — for replaying traces larger than memory.
+  /// Map regular files read-only and walk the mapping zero-copy (fastest).
+  /// The stream drops the pages it has read a few MB at a time, so its
+  /// resident set stays within a few MB of the read position whatever the
+  /// trace size. Set false to force bounded-buffer streamed reads, which
+  /// need no mapping at all.
   bool prefer_mmap = true;
 };
 

@@ -3,7 +3,7 @@
 // per-file base addresses (sim/storage.hpp), the buffer cache's pid -> owner
 // table and per-file state (read-ahead detector and finger, sim/cache.hpp),
 // and the test-only per-block ReferenceCache (tests/reference_cache.hpp).
-// The buffer cache indexes its extents through util::SortedMap64 instead.
+// The buffer cache keeps its ordered anchor index in util::SortedMap64.
 //
 // Compared to std::unordered_map this stores slots in one flat array (no
 // per-node allocation) and probes linearly (cache-friendly). erase() uses

@@ -1,5 +1,5 @@
 // Ordered map from uint64 keys to uint32 values, tuned for the buffer
-// cache's extent index (first block key -> extent slot).
+// cache's anchor index (first block key -> extent slot).
 //
 // A two-level B+-tree: a directory of leaf first keys over sorted leaves of
 // at most kLeafMax entries. A lookup binary-searches two contiguous arrays
@@ -7,15 +7,12 @@
 // shifts entries inside one leaf instead of allocating or freeing a node.
 // Leaves that fall under a quarter full merge with a neighbour, so the
 // directory stays within a small multiple of size() / kLeafMax entries.
-// insert() and erase() return the values of the key's neighbours, which they
-// find on the way, so a caller can keep its own links between entries.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -25,53 +22,21 @@ namespace craysim::util {
 class SortedMap64 {
  public:
   static constexpr std::uint32_t kNoValue = 0xffffffffu;
-  static constexpr std::uint64_t kNoKey = std::numeric_limits<std::uint64_t>::max();
 
   struct Entry {
     std::uint64_t key = 0;
     std::uint32_t value = 0;
   };
 
-  /// What surrounds a probe key: the value of the greatest key <= it
-  /// (kNoValue when none) and the least key > it (kNoKey when none) with its
-  /// value.
-  struct Around {
-    std::uint32_t floor = kNoValue;
-    std::uint64_t next = kNoKey;
-    std::uint32_t next_value = kNoValue;
-  };
-
-  /// The values of the entries just before and just after a key (kNoValue
-  /// where there is none).
-  struct Neighbours {
-    std::uint32_t prev = kNoValue;
-    std::uint32_t next = kNoValue;
-  };
-
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  [[nodiscard]] Around around(std::uint64_t key) const {
-    Around result;
+  /// The value of the greatest key <= `key` (kNoValue when none).
+  [[nodiscard]] std::uint32_t floor(std::uint64_t key) const {
     const std::size_t dir = upper(firsts_, key);
-    if (dir == 0) {
-      if (!firsts_.empty()) {
-        result.next = firsts_.front();
-        result.next_value = leaves_.front()->values.front();
-      }
-      return result;
-    }
+    if (dir == 0) return kNoValue;
     const Leaf& leaf = *leaves_[dir - 1];
-    // The leaf's first key is <= key, so `at` is past the beginning.
-    const std::size_t at = upper(leaf.keys, key);
-    result.floor = leaf.values[at - 1];
-    if (at < leaf.keys.size()) {
-      result.next = leaf.keys[at];
-      result.next_value = leaf.values[at];
-    } else if (dir < firsts_.size()) {
-      result.next = firsts_[dir];
-      result.next_value = leaves_[dir]->values.front();
-    }
-    return result;
+    // The leaf's first key is <= key, so the result is past its beginning.
+    return leaf.values[upper(leaf.keys, key) - 1];
   }
 
   /// The entry with the least key >= `key`, if any.
@@ -86,42 +51,36 @@ class SortedMap64 {
     return std::nullopt;
   }
 
-  /// Adds `key`, which must be absent; returns its new neighbours.
-  Neighbours insert(std::uint64_t key, std::uint32_t value) {
+  /// Adds `key`, which must be absent.
+  void insert(std::uint64_t key, std::uint32_t value) {
     ++size_;
     if (firsts_.empty()) {
       firsts_.push_back(key);
       leaves_.push_back(std::make_unique<Leaf>(Leaf{{key}, {value}}));
-      return {};
+      return;
     }
     const std::size_t i = leaf_index(key);
     Leaf& leaf = *leaves_[i];
     const std::size_t at = upper(leaf.keys, key);
     assert(at == 0 || leaf.keys[at - 1] != key);
     // Only a key before every other lands at the front of a leaf.
-    const Neighbours around{at > 0 ? leaf.values[at - 1] : kNoValue, value_from(i, at)};
     leaf.keys.insert(leaf.keys.begin() + static_cast<std::ptrdiff_t>(at), key);
     leaf.values.insert(leaf.values.begin() + static_cast<std::ptrdiff_t>(at), value);
     if (at == 0) firsts_[i] = key;
     if (leaf.keys.size() > kLeafMax) split(i);
-    return around;
   }
 
-  /// Removes `key`, which must be present; returns its former neighbours.
-  Neighbours erase(std::uint64_t key) {
+  /// Removes `key`, which must be present.
+  void erase(std::uint64_t key) {
     const std::size_t i = leaf_index(key);
     Leaf& leaf = *leaves_[i];
     const std::size_t at = position(leaf, key);
-    const Neighbours around{at > 0  ? leaf.values[at - 1]
-                            : i > 0 ? leaves_[i - 1]->values.back()
-                                    : kNoValue,
-                            value_from(i, at + 1)};
     leaf.keys.erase(leaf.keys.begin() + static_cast<std::ptrdiff_t>(at));
     leaf.values.erase(leaf.values.begin() + static_cast<std::ptrdiff_t>(at));
     --size_;
     if (leaf.keys.empty()) {
       drop_leaf(i);
-      return around;
+      return;
     }
     if (at == 0) firsts_[i] = leaf.keys.front();
     if (leaf.keys.size() < kLeafMax / 4) {
@@ -131,7 +90,6 @@ class SortedMap64 {
         merge(i - 1);
       }
     }
-    return around;
   }
 
   /// Changes present key `from` to `to`. No other key may lie between them,
@@ -166,13 +124,6 @@ class SortedMap64 {
   [[nodiscard]] std::size_t leaf_index(std::uint64_t key) const {
     const std::size_t dir = upper(firsts_, key);
     return dir == 0 ? 0 : dir - 1;
-  }
-
-  /// The value at position `at` of leaf i, or of the first entry after that
-  /// leaf when `at` is past its end (kNoValue when there is none).
-  [[nodiscard]] std::uint32_t value_from(std::size_t i, std::size_t at) const {
-    if (at < leaves_[i]->values.size()) return leaves_[i]->values[at];
-    return i + 1 < leaves_.size() ? leaves_[i + 1]->values.front() : kNoValue;
   }
 
   /// Where present key `key` sits in `leaf`.

@@ -256,6 +256,7 @@ ReferenceCache::ReadPlan ReferenceCache::plan_read(std::uint32_t pid, std::uint3
   const std::int64_t b0 = first_block_of(offset, bs);
   const std::int64_t b1 = end_block_of(offset, length, bs);
   const std::int64_t span = b1 - b0;
+  BufferCache::check_blocks(file, b0, b1);
   ++metrics_->read_requests;
 
   if (span > capacity_blocks_) {
@@ -339,6 +340,7 @@ ReferenceCache::WritePlan ReferenceCache::plan_write(std::uint32_t pid, std::uin
   const std::int64_t b0 = first_block_of(offset, bs);
   const std::int64_t b1 = end_block_of(offset, length, bs);
   const std::int64_t span = b1 - b0;
+  BufferCache::check_blocks(file, b0, b1);
   ++metrics_->write_requests;
 
   if (span > capacity_blocks_) {
@@ -421,7 +423,10 @@ ReferenceCache::WritePlan ReferenceCache::plan_write(std::uint32_t pid, std::uin
 std::optional<BlockRun> ReferenceCache::try_issue_readahead(std::uint32_t pid,
                                                          const BlockRun& candidate,
                                                          std::uint64_t op_id) {
-  if (candidate.count <= 0) return std::nullopt;
+  if (candidate.count <= 0 ||
+      candidate.first_block + candidate.count > BufferCache::kBlockLimit) {
+    return std::nullopt;
+  }
   // Only prefetch when the whole candidate is absent (the frontier case).
   for (std::int64_t i = 0; i < candidate.count; ++i) {
     if (index_.contains(key_of(candidate.file, candidate.first_block + i))) {

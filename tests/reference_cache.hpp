@@ -5,9 +5,11 @@
 //
 // Everything below is the per-block implementation as it stood before the
 // rewrite (slot pool + open-addressing block index + intrusive clean LRU and
-// key-ordered dirty list), with one change shared with BufferCache: an
+// key-ordered dirty list), with two changes shared with BufferCache: an
 // eviction that finds the clean list empty throws craysim::Error instead of
-// reading past the pool.
+// reading past the pool, and a request that reaches block
+// BufferCache::kBlockLimit throws craysim::Error (a read-ahead candidate
+// that reaches it is declined) instead of spilling into the next file's keys.
 #pragma once
 
 #include <cstdint>

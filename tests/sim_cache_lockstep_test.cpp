@@ -7,7 +7,11 @@
 // owned_blocks() of every pid, and over_watermark(). BufferCache::audit()
 // checks the extent cache's own bookkeeping after every operation too.
 // Capacities of 4–64 blocks keep self-eviction (a request evicting blocks it
-// already counted as present), cap pressure and space waits common.
+// already counted as present), cap pressure and space waits common; a
+// 2,048-block cache under one-block requests makes lookups walk past the
+// anchor stride. Completions carry the hint their plan set, a stale hint
+// from an earlier run, or an arbitrary slot number: a hint may change how a
+// lookup is made, never what it finds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -81,8 +85,9 @@ struct Lockstep {
 };
 
 /// Applies `op` to both caches and expects the same result or the same
-/// craysim::Error. Returns the result, or nullopt when both threw (the
-/// caches' state is unspecified after an error, so the script ends there).
+/// craysim::Error. Returns the extent cache's result, whose runs carry its
+/// hints, or nullopt when either threw (the caches' state is unspecified
+/// after an error, so the script starts afresh).
 template <typename Op>
 auto both(Lockstep& pair, Op op, const std::string& where)
     -> std::optional<decltype(op(pair.ext))> {
@@ -102,10 +107,9 @@ auto both(Lockstep& pair, Op op, const std::string& where)
     got_error = e.what();
   }
   EXPECT_EQ(got_error, want_error) << where;
-  if (want && got) {
-    EXPECT_EQ(show(*got), show(*want)) << where;
-  }
-  return want;
+  if (!want || !got) return std::nullopt;
+  EXPECT_EQ(show(*got), show(*want)) << where;
+  return got;
 }
 
 struct Rng {
@@ -128,13 +132,26 @@ struct Coverage {
   std::int64_t readahead_used = 0;
   std::int64_t cancelled = 0;
   std::int64_t errors = 0;
+  std::uint64_t anchored = 0;   ///< extents the extent caches' walks anchored
+  std::uint64_t unanchored = 0; ///< anchored extents merged away or evicted
 };
 
-void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
+/// The caches and requests a script draws.
+struct Shape {
+  std::int64_t min_blocks;  ///< capacity in blocks, drawn from [min, max]
+  std::int64_t max_blocks;
+  bool one_block;           ///< every request is one aligned block
+};
+constexpr Shape kSmallCaches{4, 64, false};
+constexpr Shape kLargeCache{2048, 2048, true};
+
+void run_script(std::uint64_t seed, int steps, Coverage& coverage, const Shape& shape) {
   Rng rng{seed * 0x9e3779b97f4a7c15ull + 1};
+  Rng hint_rng{seed * 0x2545f4914f6cdd1dull + 7};  // apart, so `rng` draws the same script
   CacheParams params;
   params.block_size = rng(2) != 0 ? 8 * kKiB : 4 * kKiB;
-  const std::int64_t blocks = 4 + rng.signed_below(61);  // 4..64
+  const std::int64_t blocks =
+      shape.min_blocks + rng.signed_below(shape.max_blocks - shape.min_blocks + 1);
   params.capacity = blocks * params.block_size;
   params.read_ahead = rng(2) != 0;
   params.per_process_cap = rng(2) != 0 ? 0 : (1 + rng.signed_below(blocks)) * params.block_size;
@@ -149,12 +166,21 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
   std::uint64_t op = 1;
   std::vector<BlockRun> fetches;  // in flight
   std::vector<BlockRun> flushes;
+  std::vector<std::uint32_t> hints;  // every hint a plan has set
+  auto track = [&](std::vector<BlockRun>& pending, const auto& runs) {
+    for (const BlockRun& run : runs) {
+      pending.push_back(run);
+      hints.push_back(run.hint);
+    }
+  };
   Bytes last_end[4] = {};  // per file: where the last read ended
   Ticks now = Ticks::zero();
   auto tally = [&] {
     coverage.evictions += pair->ref_metrics.evictions;
     coverage.readahead_used += pair->ref_metrics.readahead_used_blocks;
     coverage.cancelled += pair->ref_metrics.writes_cancelled_blocks;
+    coverage.anchored += pair->ext.index_ops().inserts;
+    coverage.unanchored += pair->ext.index_ops().erases;
   };
   // After an error both caches are in an unspecified state: start afresh.
   auto restart = [&] {
@@ -171,10 +197,14 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
     const auto pid = static_cast<std::uint32_t>(rng(kPids));
     const auto file = static_cast<std::uint32_t>(1 + rng(3));
     // A third of the requests continue the file sequentially (read-ahead).
-    const Bytes offset = rng(3) == 0 ? last_end[file] : rng.signed_below(4 * blocks) * half;
+    const Bytes offset = rng(3) == 0       ? last_end[file]
+                         : shape.one_block ? rng.signed_below(2 * blocks) * params.block_size
+                                           : rng.signed_below(4 * blocks) * half;
     // Mostly short requests, sometimes up to past the whole cache (bypass).
     const Bytes length =
-        (rng(4) == 0 ? rng.signed_below(2 * blocks + 4) : rng.signed_below(9)) * half;
+        shape.one_block
+            ? params.block_size
+            : (rng(4) == 0 ? rng.signed_below(2 * blocks + 4) : rng.signed_below(9)) * half;
     const std::uint64_t kind = rng(20);
 
     if (kind < 7) {
@@ -190,7 +220,7 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
       coverage.joins += static_cast<std::int64_t>(plan->join_ops.size());
       if (!plan->space_wait && !plan->bypass) {
         op += plan->fetch_runs.size();
-        fetches.insert(fetches.end(), plan->fetch_runs.begin(), plan->fetch_runs.end());
+        track(fetches, plan->fetch_runs);
         if (plan->readahead && rng(4) != 0) {
           const BlockRun candidate = *plan->readahead;
           const auto issued = both(
@@ -201,7 +231,7 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
           }
           if (*issued) {
             ++op;
-            fetches.push_back(**issued);
+            track(fetches, std::vector<BlockRun>{**issued});
           }
         }
       }
@@ -216,8 +246,7 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
         continue;
       }
       ++op;
-      flushes.insert(flushes.end(), plan->writethrough_runs.begin(),
-                     plan->writethrough_runs.end());
+      track(flushes, plan->writethrough_runs);
     } else if (kind < 14) {
       const std::int64_t max_blocks = 1 + rng.signed_below(2 * blocks);
       const std::int64_t max_run = rng.signed_below(6);  // 0 = unlimited
@@ -227,7 +256,7 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
           [&](auto& c) { return c.collect_flush_batch(max_blocks, max_run, now, min_age); },
           where);
       if (!runs) return;
-      flushes.insert(flushes.end(), runs->begin(), runs->end());
+      track(flushes, *runs);
     } else if (kind < 19) {
       // Any in-flight run, not only the oldest: completions arrive out of
       // order on a multi-disk farm.
@@ -235,8 +264,23 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
       std::vector<BlockRun>& pending = fetch ? fetches : flushes;
       if (!pending.empty()) {
         const auto i = static_cast<std::size_t>(rng(pending.size()));
-        const BlockRun run = pending[i];
+        BlockRun run = pending[i];
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+        // The hint as planned, a stale one, or an arbitrary slot number
+        // (live, dead or out of range). ReferenceCache ignores hints.
+        switch (hint_rng(4)) {
+          case 0:
+            break;
+          case 1:
+            run.hint = hints[static_cast<std::size_t>(hint_rng(hints.size()))];
+            break;
+          case 2:
+            run.hint = static_cast<std::uint32_t>(hint_rng(4 * static_cast<std::uint64_t>(blocks)));
+            break;
+          default:
+            run.hint = BlockRun::kNoHint;
+            break;
+        }
         both(
             *pair,
             [&](auto& c) {
@@ -264,7 +308,7 @@ void run_script(std::uint64_t seed, int steps, Coverage& coverage) {
 TEST(CacheLockstepTest, RandomScriptsMatchThePerBlockReference) {
   Coverage coverage;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
-    run_script(seed, 2000, coverage);
+    run_script(seed, 2000, coverage, kSmallCaches);
     if (HasFailure()) return;
   }
   // The generator must actually reach the paths the rewrite had to get right.
@@ -275,6 +319,17 @@ TEST(CacheLockstepTest, RandomScriptsMatchThePerBlockReference) {
   EXPECT_GT(coverage.readahead_used, 0);
   EXPECT_GT(coverage.cancelled, 0);
   EXPECT_GT(coverage.errors, 0);
+}
+
+TEST(CacheLockstepTest, LargeCacheScriptsWalkPastTheAnchorStride) {
+  Coverage coverage;
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    run_script(seed, 20000, coverage, kLargeCache);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(coverage.evictions, 0);
+  EXPECT_GT(coverage.anchored, 0u);
+  EXPECT_GT(coverage.unanchored, 0u);
 }
 
 /// A 4-block cache holding clean blocks 1–3 of file 1 and one dirty block: a

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace craysim::sim {
@@ -33,6 +35,43 @@ TEST_F(CacheTest, RejectsBadConfig) {
   p = params_;
   p.per_process_cap = 100;
   EXPECT_THROW(make(p), ConfigError);
+}
+
+// Keys pack file << 32 | block, so block 2^32 + 5 of file 2 used to be
+// cached as block 5 of file 3. Requests that reach BufferCache::kBlockLimit
+// are refused with an error naming the file and the block; nothing is
+// cached or counted.
+TEST_F(CacheTest, RefusesBlocksPastTheKeySpace) {
+  auto cache = make();
+  const Bytes bs = params_.block_size;
+  const Bytes far = (Bytes{1} << 32) + 5;
+  try {
+    (void)cache.plan_read(1, 2, far * bs, bs, 100);
+    FAIL() << "plan_read accepted block 2^32 + 5";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("block 4294967301 of file 2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)cache.plan_write(1, 2, far * bs, bs, 101, true), Error);
+  // A request that starts below the limit and reaches it is refused too.
+  const Bytes last = BufferCache::kBlockLimit - 1;
+  EXPECT_THROW((void)cache.plan_read(1, 2, last * bs, 2 * bs, 102), Error);
+  EXPECT_EQ(cache.resident_blocks(), 0);
+  EXPECT_EQ(metrics_.read_requests, 0);
+  EXPECT_EQ(metrics_.write_requests, 0);
+
+  // Block 5 of file 3 was never cached, and the last block below the limit
+  // is cacheable; read-ahead past it is declined.
+  const auto other = cache.plan_read(1, 3, 5 * bs, bs, 103);
+  ASSERT_EQ(other.fetch_runs.size(), 1u);
+  EXPECT_EQ(other.fetch_runs[0], (BlockRun{3, 5, 1}));
+  const auto edge = cache.plan_read(1, 2, last * bs, bs, 104);
+  ASSERT_EQ(edge.fetch_runs.size(), 1u);
+  EXPECT_EQ(edge.fetch_runs[0], (BlockRun{2, last, 1}));
+  EXPECT_FALSE(cache.try_issue_readahead(1, BlockRun{2, last + 1, 1}, 105).has_value());
+  cache.fetch_complete(edge.fetch_runs[0]);
+  EXPECT_TRUE(cache.plan_read(1, 2, last * bs, bs, 106).full_hit);
+  EXPECT_EQ(cache.audit(), "");
 }
 
 TEST_F(CacheTest, ColdReadMissesAndFetches) {

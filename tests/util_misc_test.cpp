@@ -327,20 +327,16 @@ TEST(SeriesCsv, Format) {
 
 // Random inserts, erases and order-preserving rekeys against std::map, in
 // phases that grow the map to thousands of keys (many leaf splits) and drain
-// it again (merges and dropped leaves). The neighbours insert and erase
-// return must be the entries around the key in the std::map.
+// it again (merges and dropped leaves).
 TEST(SortedMap64, MatchesStdMap) {
   using util::SortedMap64;
   SortedMap64 map;
   std::map<std::uint64_t, std::uint32_t> want;
   Rng rng(11);
   const auto expect_same_at = [&](std::uint64_t key) {
-    const SortedMap64::Around around = map.around(key);
     const auto next = want.upper_bound(key);
-    ASSERT_EQ(around.floor, next == want.begin() ? SortedMap64::kNoValue : std::prev(next)->second)
-        << key;
-    ASSERT_EQ(around.next, next == want.end() ? SortedMap64::kNoKey : next->first) << key;
-    ASSERT_EQ(around.next_value, next == want.end() ? SortedMap64::kNoValue : next->second)
+    ASSERT_EQ(map.floor(key),
+              next == want.begin() ? SortedMap64::kNoValue : std::prev(next)->second)
         << key;
     const auto ceil = map.ceil(key);
     const auto at = want.lower_bound(key);
@@ -350,18 +346,6 @@ TEST(SortedMap64, MatchesStdMap) {
       ASSERT_EQ(ceil->value, at->second) << key;
     }
   };
-  // The values of the std::map entries before and after `it`.
-  const auto neighbours_of = [&](std::map<std::uint64_t, std::uint32_t>::const_iterator it) {
-    SortedMap64::Neighbours around;
-    if (it != want.begin()) around.prev = std::prev(it)->second;
-    if (std::next(it) != want.end()) around.next = std::next(it)->second;
-    return around;
-  };
-  const auto expect_neighbours = [](const SortedMap64::Neighbours& got,
-                                    const SortedMap64::Neighbours& expected, std::uint64_t key) {
-    ASSERT_EQ(got.prev, expected.prev) << key;
-    ASSERT_EQ(got.next, expected.next) << key;
-  };
   for (int phase = 0; phase < 6; ++phase) {
     const double insert_share = phase % 2 == 0 ? 0.8 : 0.2;
     for (int step = 0; step < 20000; ++step) {
@@ -369,10 +353,10 @@ TEST(SortedMap64, MatchesStdMap) {
       const auto it = want.find(key);
       if (it == want.end() && rng.chance(insert_share)) {
         const auto value = static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 30));
-        const SortedMap64::Neighbours got = map.insert(key, value);
-        expect_neighbours(got, neighbours_of(want.emplace(key, value).first), key);
+        map.insert(key, value);
+        want.emplace(key, value);
       } else if (it != want.end() && rng.chance(0.7)) {
-        expect_neighbours(map.erase(key), neighbours_of(it), key);
+        map.erase(key);
         want.erase(it);
       } else if (it != want.end()) {
         // Move the key up inside the gap before its successor.
@@ -407,7 +391,7 @@ TEST(SortedMap64, MatchesStdMap) {
   while (!want.empty()) {
     const auto last = std::prev(want.end());
     const std::uint64_t key = last->first;
-    expect_neighbours(map.erase(key), neighbours_of(last), key);
+    map.erase(key);
     want.erase(last);
     ASSERT_EQ(map.size(), want.size());
     expect_same_at(key);
