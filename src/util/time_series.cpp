@@ -1,6 +1,7 @@
 #include "util/time_series.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -8,6 +9,10 @@ namespace craysim {
 
 BinnedSeries::BinnedSeries(Ticks bin_width) : bin_width_(bin_width) {
   if (bin_width <= Ticks::zero()) throw ConfigError("BinnedSeries bin width must be positive");
+}
+
+BinnedSeries::BinnedSeries(Ticks bin_width, std::vector<double> bins) : BinnedSeries(bin_width) {
+  bins_ = std::move(bins);
 }
 
 std::size_t BinnedSeries::bin_of(Ticks when) const {

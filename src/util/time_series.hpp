@@ -16,6 +16,10 @@ class BinnedSeries {
   /// `bin_width` must be positive.
   explicit BinnedSeries(Ticks bin_width);
 
+  /// A series whose bins are `bins`, the first starting at t = 0. `bin_width`
+  /// must be positive.
+  BinnedSeries(Ticks bin_width, std::vector<double> bins);
+
   /// Adds `amount` to the bin containing `when`. Negative timestamps clamp
   /// to the first bin.
   void add(Ticks when, double amount);
