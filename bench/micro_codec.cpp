@@ -1,5 +1,5 @@
 // Microbenchmarks: trace-format encode/decode throughput and compression
-// effectiveness (google-benchmark).
+// effectiveness, and the SimResult journal codec (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include "micro_common.hpp"
@@ -9,6 +9,9 @@
 #include <sstream>
 #include <string>
 
+#include "obs/attr.hpp"
+#include "sim/metrics.hpp"
+#include "sim/simulator.hpp"
 #include "trace/binary.hpp"
 #include "trace/binary_stream.hpp"
 #include "trace/codec.hpp"
@@ -120,6 +123,44 @@ void BM_SynthesizeTrace(benchmark::State& state) {
   state.SetItemsProcessed(records);
 }
 BENCHMARK(BM_SynthesizeTrace);
+
+/// One attributed no-cache gcm result: the shape of perfbench's
+/// journaled_sweep points, about 51 KB serialized.
+const sim::SimResult& gcm_result() {
+  static const sim::SimResult result = [] {
+    obs::AttributionLedger ledger;
+    sim::SimParams params = sim::SimParams::no_cache();
+    params.attribution = &ledger;
+    sim::Simulator simulator(params);
+    simulator.add_app(workload::make_profile(workload::AppId::kGcm));
+    return simulator.run();
+  }();
+  return result;
+}
+
+void BM_SerializeSimResult(benchmark::State& state) {
+  const sim::SimResult& result = gcm_result();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string payload = sim::serialize_sim_result(result);
+    benchmark::DoNotOptimize(payload.data());
+    bytes += static_cast<std::int64_t>(payload.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_SerializeSimResult);
+
+void BM_ParseSimResult(benchmark::State& state) {
+  const std::string payload = sim::serialize_sim_result(gcm_result());
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const sim::SimResult result = sim::parse_sim_result(payload);
+    benchmark::DoNotOptimize(&result);
+    bytes += static_cast<std::int64_t>(payload.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_ParseSimResult);
 
 }  // namespace
 

@@ -28,12 +28,38 @@ std::string hex_u64(std::uint64_t value) {
   return buf;
 }
 
+/// True for the bytes a JSON string cannot hold raw.
+constexpr bool needs_escape(char c) {
+  return static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\';
+}
+
+/// Offset of the first byte at or after `at` in `text` that needs_escape(),
+/// or text.size(). Payloads are mostly plain bytes, so it tests eight at a
+/// time. A byte of v below n (n <= 0x80) borrows in v - 0x0101..01 * n and
+/// sets its high bit there, where v's is clear; a quote or a backslash is a
+/// zero byte, one below 1, of v xor that byte repeated.
+std::size_t next_escape(std::string_view text, std::size_t at) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101u;
+  constexpr std::uint64_t kHighs = 0x8080808080808080u;
+  for (; text.size() - at >= sizeof(std::uint64_t); at += sizeof(std::uint64_t)) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, text.data() + at, sizeof word);
+    const std::uint64_t quote = word ^ (kOnes * '"');
+    const std::uint64_t backslash = word ^ (kOnes * '\\');
+    if ((((word - kOnes * 0x20) & ~word) | ((quote - kOnes) & ~quote) |
+         ((backslash - kOnes) & ~backslash)) & kHighs) {
+      break;
+    }
+  }
+  while (at < text.size() && !needs_escape(text[at])) ++at;
+  return at;
+}
+
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   std::size_t run = 0;  // start of the bytes not yet copied to `out`
-  for (std::size_t i = 0; i < text.size(); ++i) {
+  for (std::size_t i = next_escape(text, 0); i < text.size(); i = next_escape(text, i + 1)) {
     const auto c = static_cast<unsigned char>(text[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
     out.append(text, run, i - run);
     run = i + 1;
     switch (c) {
@@ -173,26 +199,45 @@ class LineScanner {
     return value;
   }
 
-  [[nodiscard]] std::string string(std::string_view key) const {
+  [[nodiscard]] std::string string(std::string_view key) const { return quoted(key).value; }
+
+  /// A string value, unescaped, with the offsets of its quotes in the line.
+  /// `canonical` says whether the bytes between the quotes are exactly what
+  /// append_json_string writes for `value`: every escape is the one it
+  /// writes for its byte, and no raw byte is below 0x20.
+  struct Quoted {
+    std::string value;
+    std::size_t open = 0;
+    std::size_t close = 0;
+    bool canonical = true;
+  };
+
+  [[nodiscard]] Quoted quoted(std::string_view key) const {
     const auto raw = raw_value(key);
     if (!raw || raw->empty() || (*raw)[0] != '"') {
       bad_journal(path_, lineno_, "missing string for \"" + std::string(key) + "\"");
     }
-    std::string out;
-    for (std::size_t i = 1; i < raw->size(); ++i) {
-      const char c = (*raw)[i];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
+    Quoted out;
+    out.open = static_cast<std::size_t>(raw->data() - line_.data());
+    std::size_t run = 1;  // start of the bytes not yet copied to out.value
+    for (std::size_t i = next_escape(*raw, 1); i < raw->size(); i = next_escape(*raw, i + 1)) {
+      const auto c = static_cast<unsigned char>((*raw)[i]);
+      if (c < 0x20) {
+        out.canonical = false;  // kept as read; append_json_string escapes it
         continue;
+      }
+      out.value.append(*raw, run, i - run);
+      if (c == '"') {
+        out.close = out.open + i;
+        return out;
       }
       if (++i >= raw->size()) break;
       switch ((*raw)[i]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
+        case '"': out.value += '"'; break;
+        case '\\': out.value += '\\'; break;
+        case 'n': out.value += '\n'; break;
+        case 'r': out.value += '\r'; break;
+        case 't': out.value += '\t'; break;
         case 'u': {
           if (i + 4 >= raw->size()) bad_journal(path_, lineno_, "truncated \\u escape");
           unsigned code = 0;
@@ -204,11 +249,16 @@ class LineScanner {
             else bad_journal(path_, lineno_, "bad \\u escape");
           }
           i += 4;
-          out += static_cast<char>(code);  // this writer only emits \u00XX
+          // The writer emits \u00XX only for the bytes below 0x20 that have
+          // no short escape.
+          out.canonical = out.canonical && code < 0x20 && code != '\n' && code != '\r' &&
+                          code != '\t';
+          out.value += static_cast<char>(code);
           break;
         }
         default: bad_journal(path_, lineno_, "unknown escape in string");
       }
+      run = i + 1;
     }
     bad_journal(path_, lineno_, "unterminated string for \"" + std::string(key) + "\"");
   }
@@ -237,25 +287,32 @@ void check_header(std::string_view line, const std::string& path, std::size_t li
   }
 }
 
-/// Appends `record` as one JSON line, without the newline.
-void append_record_line(std::string& out, const SweepJournal::Record& record) {
+/// Appends the start of `record`'s line: every field, up to the quote that
+/// opens the payload (or error) string.
+void append_record_head(std::string& out, const SweepJournal::Record& record) {
   out += "{\"index\":" + std::to_string(record.index) + ",\"digest\":\"" +
          hex_u64(record.input_digest) + "\",\"status\":\"" +
          point_status_name(record.outcome.status) +
          "\",\"attempts\":" + std::to_string(record.outcome.attempts) +
-         ",\"backoff_ns\":" + std::to_string(record.outcome.backoff_ns);
-  if (record.outcome.status == PointStatus::kOk) {
-    out += ",\"result\":";
-    append_json_string(out, record.payload);
-  } else {
-    out += ",\"error\":";
-    append_json_string(out, record.outcome.error);
-  }
+         ",\"backoff_ns\":" + std::to_string(record.outcome.backoff_ns) +
+         (record.outcome.status == PointStatus::kOk ? ",\"result\":" : ",\"error\":");
+}
+
+/// Appends `record` as one JSON line, without the newline.
+void append_record_line(std::string& out, const SweepJournal::Record& record) {
+  append_record_head(out, record);
+  append_json_string(out, record.outcome.status == PointStatus::kOk ? record.payload
+                                                                   : record.outcome.error);
   out += '}';
 }
 
+/// Parses one record line. With `exact` given, also says whether `line` is
+/// byte for byte what append_record_line writes for the record: the head
+/// renders the same, the string is escaped as append_json_string escapes it,
+/// and only the closing brace follows it. That needs no second escape pass.
 SweepJournal::Record parse_record(std::string_view line, const std::string& path,
-                                  std::size_t lineno, std::size_t point_count) {
+                                  std::size_t lineno, std::size_t point_count,
+                                  bool* exact = nullptr) {
   const LineScanner scan(line, path, lineno);
   SweepJournal::Record record;
   record.index = static_cast<std::size_t>(scan.number("index"));
@@ -268,10 +325,18 @@ SweepJournal::Record parse_record(std::string_view line, const std::string& path
   else bad_journal(path, lineno, "unknown status '" + status + "'");
   record.outcome.attempts = static_cast<std::int32_t>(scan.number("attempts"));
   record.outcome.backoff_ns = static_cast<std::int64_t>(scan.number("backoff_ns"));
-  if (record.outcome.status == PointStatus::kOk) {
-    record.payload = scan.string("result");
+  const bool ok = record.outcome.status == PointStatus::kOk;
+  LineScanner::Quoted text = scan.quoted(ok ? "result" : "error");
+  if (exact != nullptr) {
+    std::string head;
+    append_record_head(head, record);
+    *exact = text.canonical && text.open == head.size() && line.substr(0, head.size()) == head &&
+             text.close + 2 == line.size() && line.back() == '}';
+  }
+  if (ok) {
+    record.payload = std::move(text.value);
   } else {
-    record.outcome.error = scan.string("error");
+    record.outcome.error = std::move(text.value);
   }
   return record;
 }
@@ -299,7 +364,6 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
   }
 
   const std::string header = header_line(sweep_digest_, point_count_);
-  std::string rendered;  // scratch: a restored record as compaction writes it
   std::vector<bool> seen(point_count_, false);
   bool canonical = true;
   bool in_log = false;        // past the canonical section
@@ -326,12 +390,10 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweep_digest, std::si
     }
     Record record;
     if (!in_log && starts_with(trimmed, kRecordPrefix)) {
-      record = parse_record(trimmed, path_, lineno, point_count_);
-      if (canonical) {
-        rendered.clear();
-        append_record_line(rendered, record);
-        canonical = line == rendered && (records_.empty() || records_.back().index < record.index);
-      }
+      bool exact = false;
+      record = parse_record(trimmed, path_, lineno, point_count_, canonical ? &exact : nullptr);
+      canonical = canonical && exact && line.size() == trimmed.size() &&
+                  (records_.empty() || records_.back().index < record.index);
     } else {
       // A record line after the canonical section ended, but before any
       // line with the frame marker, follows a damaged canonical record:

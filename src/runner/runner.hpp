@@ -291,8 +291,11 @@ class ExperimentRunner {
   ///                                             the journal's sweep digest)
   /// decode(encode(r)) must reproduce r exactly — resumed results are
   /// restored from journal payloads, and the byte-identity guarantee is only
-  /// as strong as the codec's round trip. A journal that cannot be read or
-  /// written throws Error (a failed write once the running points drained).
+  /// as strong as the codec's round trip. encode runs on the worker that ran
+  /// the point; decode runs on the calling thread, in point order, before
+  /// any point executes, so a codec may keep unsynchronized state for it. A
+  /// journal that cannot be read or written throws Error (a failed write
+  /// once the running points drained).
   template <typename Point, typename Fn, typename Codec>
   [[nodiscard]] auto run_settled(const std::vector<Point>& points, Fn&& fn, const Codec& codec)
       -> std::vector<PointResult<detail::point_value_t<Fn, Point>>> {

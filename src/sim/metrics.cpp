@@ -1,9 +1,11 @@
 #include "sim/metrics.hpp"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -134,20 +136,43 @@ namespace {
 // ---- SimResult wire codec (journal payloads) -------------------------------
 //
 // Line-oriented key/value text. Integers print verbatim; doubles print as C
-// hexfloats ("%a"), which strtod parses back bit-exactly; the process name
-// and the annotated-trace blob are length-prefixed so embedded spaces and
-// newlines survive. Version-stamped so a future field change fails loudly
-// instead of misparsing old journals.
+// hexfloats (the bytes "%a" prints), which read back bit-exactly; the
+// process name and the annotated-trace blob are length-prefixed so embedded
+// spaces and newlines survive. Version-stamped so a future field change
+// fails loudly instead of misparsing old journals.
 
 void put_i64(std::string& out, std::int64_t value) {
-  out += ' ';
-  out += std::to_string(value);
+  char buf[24];
+  buf[0] = ' ';
+  out.append(buf, std::to_chars(buf + 1, buf + sizeof buf, value).ptr);
 }
 
+/// A space, then `value` as printf's "%a" writes it: the sign, "0x" and the
+/// hex digits, or "inf" or "nan" behind the sign.
 void put_f64(std::string& out, double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, " %a", value);
-  out += buf;
+  char buf[32];
+  if (std::fpclassify(value) == FP_SUBNORMAL) {
+    // std::to_chars writes a subnormal as "%a" does ("0.0000000000001p-1022")
+    // in libstdc++ 12, but normalized ("1p-1074") in later versions.
+    out.append(buf, static_cast<std::size_t>(std::snprintf(buf, sizeof buf, " %a", value)));
+    return;
+  }
+  char* at = buf;
+  *at++ = ' ';
+  if (std::isfinite(value)) {
+    if (std::signbit(value)) *at++ = '-';
+    *at++ = '0';
+    *at++ = 'x';
+    value = std::fabs(value);
+  }
+  out.append(buf, std::to_chars(at, buf + sizeof buf, value, std::chars_format::hex).ptr);
+}
+
+/// A space, then "<length>:" and `bytes`.
+void put_blob(std::string& out, std::string_view bytes) {
+  put_i64(out, static_cast<std::int64_t>(bytes.size()));
+  out += ':';
+  out += bytes;
 }
 
 void put_series(std::string& out, const char* name, const BinnedSeries& series) {
@@ -156,6 +181,36 @@ void put_series(std::string& out, const char* name, const BinnedSeries& series) 
   put_i64(out, static_cast<std::int64_t>(series.num_bins()));
   for (const double v : series.bins()) put_f64(out, v);
   out += '\n';
+}
+
+/// std::isspace in the C locale; nothing in craysim calls setlocale.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+constexpr bool is_hex_digit(char c) { return is_digit(c) || (c >= 'a' && c <= 'f'); }
+
+/// True when `word` has the shape put_f64 gives a finite value:
+/// [-]0x<hex>[.<hex>][p(+|-)<digits>], hex digits in lower case.
+/// std::from_chars reads such a token as strtod does. It also takes some
+/// that strtod refuses, such as "0x1p+-3", so it must see no other kind.
+bool has_writer_shape(std::string_view word) {
+  const char* at = word.data();
+  const char* const end = at + word.size();
+  if (at != end && *at == '-') ++at;
+  if (end - at < 3 || at[0] != '0' || at[1] != 'x' || !is_hex_digit(at[2])) return false;
+  at += 3;
+  while (at != end && is_hex_digit(*at)) ++at;
+  if (at != end && *at == '.') {
+    if (++at == end || !is_hex_digit(*at)) return false;
+    while (at != end && is_hex_digit(*at)) ++at;
+  }
+  if (at != end && *at == 'p') {
+    if (++at == end || (*at != '+' && *at != '-')) return false;
+    if (++at == end || !is_digit(*at)) return false;
+    while (at != end && is_digit(*at)) ++at;
+  }
+  return at == end;
 }
 
 /// Whitespace-token cursor over the serialized text.
@@ -167,7 +222,7 @@ class Cursor {
     skip_space();
     if (at_ >= text_.size()) fail("unexpected end of input");
     const std::size_t start = at_;
-    while (at_ < text_.size() && !std::isspace(static_cast<unsigned char>(text_[at_]))) ++at_;
+    while (at_ < text_.size() && !is_space(text_[at_])) ++at_;
     return text_.substr(start, at_ - start);
   }
 
@@ -179,16 +234,29 @@ class Cursor {
   }
 
   [[nodiscard]] std::int64_t i64() {
-    const auto parsed = parse_int(token());
-    if (!parsed) fail("bad integer");
-    return *parsed;
+    const std::string_view word = token();
+    const char* last = word.data() + word.size();
+    std::int64_t value = 0;
+    const auto [end, ec] = std::from_chars(word.data(), last, value);
+    if (ec != std::errc() || end != last) fail("bad integer");
+    return value;
   }
 
   [[nodiscard]] double f64() {
-    const std::string word(token());  // strtod needs a terminator
+    const std::string_view word = token();
+    if (has_writer_shape(word)) {
+      const bool negative = word[0] == '-';
+      const char* last = word.data() + word.size();
+      double value = 0.0;
+      const auto [end, ec] = std::from_chars(word.data() + (negative ? 3 : 2), last, value,
+                                             std::chars_format::hex);
+      if (ec == std::errc() && end == last) return negative ? -value : value;
+    }
+    // Every other token, and one out of range, reads as strtod reads it.
+    const std::string copy(word);  // strtod needs a terminator
     char* end = nullptr;
-    const double value = std::strtod(word.c_str(), &end);
-    if (end == nullptr || *end != '\0' || end == word.c_str()) fail("bad float");
+    const double value = std::strtod(copy.c_str(), &end);
+    if (end == nullptr || *end != '\0' || end == copy.c_str()) fail("bad float");
     return value;
   }
 
@@ -229,7 +297,7 @@ class Cursor {
 
  private:
   void skip_space() {
-    while (at_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[at_]))) ++at_;
+    while (at_ < text_.size() && is_space(text_[at_])) ++at_;
   }
 
   std::string_view text_;
@@ -243,7 +311,8 @@ void put_attr_entry(std::string& out, const obs::AttrEntry& e) {
   put_i64(out, e.bytes);
   put_i64(out, e.total_ticks);
   for (const std::int64_t v : e.comp) put_i64(out, v);
-  out += ' ' + std::to_string(e.key.size()) + ':' + e.key + '\n';
+  put_blob(out, e.key);
+  out += '\n';
 }
 
 obs::AttrEntry read_attr_entry(Cursor& in) {
@@ -262,16 +331,15 @@ BinnedSeries read_series(Cursor& in, const char* name) {
   in.expect(name);
   const std::int64_t width = in.i64();
   if (width <= 0) in.fail("series bin width must be positive");
-  BinnedSeries series{Ticks(width)};
-  const std::int64_t bins = in.count("series bin count");
-  if (bins > 0 && width > std::numeric_limits<std::int64_t>::max() / bins) {
+  const std::int64_t count = in.count("series bin count");
+  if (count > 0 && width > std::numeric_limits<std::int64_t>::max() / count) {
     in.fail("series span overflows");
   }
-  for (std::int64_t i = 0; i < bins; ++i) {
-    // add() into an empty bin stores the value exactly (0.0 + v == v).
-    series.add(Ticks(width * i), in.f64());
-  }
-  return series;
+  std::vector<double> bins;
+  bins.reserve(static_cast<std::size_t>(count));
+  // add() stores 0.0 + v in an empty bin, so a -0.0 reads back as +0.0.
+  for (std::int64_t i = 0; i < count; ++i) bins.push_back(0.0 + in.f64());
+  return BinnedSeries(Ticks(width), std::move(bins));
 }
 
 }  // namespace
@@ -311,7 +379,8 @@ std::string serialize_sim_result(const SimResult& result) {
     put_i64(out, p.io_count);
     put_i64(out, p.bytes_read);
     put_i64(out, p.bytes_written);
-    out += ' ' + std::to_string(p.name.size()) + ':' + p.name + '\n';
+    put_blob(out, p.name);
+    out += '\n';
   }
   put_series(out, "series.logical", result.logical_rate);
   put_series(out, "series.disk", result.disk_rate);
@@ -319,7 +388,9 @@ std::string serialize_sim_result(const SimResult& result) {
   put_series(out, "series.disk_write", result.disk_write_rate);
   const std::string trace_text =
       result.annotated_trace.empty() ? std::string() : trace::serialize_trace(result.annotated_trace);
-  out += "trace " + std::to_string(trace_text.size()) + ':' + trace_text + '\n';
+  out += "trace";
+  put_blob(out, trace_text);
+  out += '\n';
   // Optional trailing section: only attributed runs emit it, so journals of
   // plain runs stay byte-identical to pre-attribution builds, and the parser
   // treats its absence as attr.enabled == false.
@@ -343,7 +414,8 @@ std::string serialize_sim_result(const SimResult& result) {
       put_i64(out, e.bytes);
       put_i64(out, e.total_ticks);
       for (const std::int64_t v : e.comp) put_i64(out, v);
-      out += ' ' + std::to_string(e.kind.size()) + ':' + e.kind + '\n';
+      put_blob(out, e.kind);
+      out += '\n';
     }
     out += "attr.lat";
     for (const std::int64_t v : a.latency) put_i64(out, v);

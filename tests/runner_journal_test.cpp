@@ -437,6 +437,95 @@ TEST(RunnerJournalTest, ResumeOverAFinishedJournalWritesNothing) {
   std::remove(path.c_str());
 }
 
+TEST(RunnerJournalTest, NonCanonicalEscapesRestoreAndCompactToTheCanonicalBytes) {
+  const std::string path = temp_journal("escapes");
+  const Reference ref = reference_run(path);
+  // Point 0's payload escapes a newline as "\n", a tab as "\t" and spells
+  // out a 'q'. Each edit below reads back as the same payload, but is not
+  // what compaction writes, so the resume must rewrite the file.
+  const std::size_t payload = ref.bytes.find("\"result\":\"v=");
+  ASSERT_NE(payload, std::string::npos);
+  const std::pair<std::string, std::string> edits[] = {
+      {"\\n", "\\u000a"}, {"\\t", "\t"}, {"q", "\\u0071"}};
+  for (const auto& [from, to] : edits) {
+    std::string text = ref.bytes;
+    const std::size_t at = text.find(from, payload);
+    ASSERT_LT(at, text.find('\n', payload)) << from;
+    text.replace(at, from.size(), to);
+    spill(path, text);
+    const SweepRun resumed = run_sweep(path, kPoints, 1, EscapingCodec{});
+    expect_same_results(resumed, ref.run, to);
+    EXPECT_EQ(resumed.executed, 0) << to;
+    EXPECT_GT(resumed.bytes_written, 0) << to;
+    EXPECT_EQ(slurp(path), ref.bytes) << to;
+  }
+  std::remove(path.c_str());
+}
+
+/// `text` as a JSON string, escaped one byte at a time as the journal
+/// format specifies.
+std::string reference_json_string(std::string_view text) {
+  std::string out = "\"";
+  for (const char ch : text) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c == '"') out += "\\\"";
+    else if (c == '\\') out += "\\\\";
+    else if (c == '\n') out += "\\n";
+    else if (c == '\r') out += "\\r";
+    else if (c == '\t') out += "\\t";
+    else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  return out + "\"";
+}
+
+TEST(RunnerJournalTest, EveryByteValueRoundTripsAtEveryAlignment) {
+  const std::string path = temp_journal("bytes");
+  std::remove(path.c_str());
+  std::string every_byte(256, '\0');
+  for (std::size_t b = 0; b < every_byte.size(); ++b) every_byte[b] = static_cast<char>(b);
+  // Point i's text starts i bytes in, so each byte value meets each offset
+  // within an eight-byte word; the failing point carries it as its error.
+  std::vector<SweepJournal::Record> records(kPoints);
+  std::string expected;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    SweepJournal::Record& r = records[i];
+    r.index = i;
+    r.input_digest = EscapingCodec{}.digest(i);
+    const std::string text = std::string(i, 'p') + every_byte + std::string(kPoints - i, 'p');
+    const bool failed = i == kFailingPoint;
+    r.outcome.status = failed ? PointStatus::kFailed : PointStatus::kOk;
+    (failed ? r.outcome.error : r.payload) = text;
+    char head[128];
+    std::snprintf(head, sizeof head,
+                  "{\"index\":%zu,\"digest\":\"0x%016llx\",\"status\":\"%s\",\"attempts\":1,"
+                  "\"backoff_ns\":0,\"%s\":",
+                  i, static_cast<unsigned long long>(r.input_digest), failed ? "failed" : "ok",
+                  failed ? "error" : "result");
+    expected += head + reference_json_string(text) + "}\n";
+  }
+  {
+    SweepJournal journal(path, sweep_digest(), kPoints);
+    for (const SweepJournal::Record& r : records) journal.append(r);
+    journal.compact();
+  }
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.substr(bytes.find('\n') + 1), expected);
+  SweepJournal reopened(path, sweep_digest(), kPoints);
+  ASSERT_EQ(reopened.records().size(), kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    EXPECT_EQ(reopened.records()[i].payload, records[i].payload) << i;
+    EXPECT_EQ(reopened.records()[i].outcome.error, records[i].outcome.error) << i;
+  }
+  EXPECT_EQ(reopened.compact().bytes, 0);  // read back as canonical
+  std::remove(path.c_str());
+}
+
 /// Child exit codes of run_under_file_size_limit.
 enum LimitOutcome : int {
   kThrewJournalError = 0,
