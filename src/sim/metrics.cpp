@@ -190,27 +190,41 @@ constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
 constexpr bool is_hex_digit(char c) { return is_digit(c) || (c >= 'a' && c <= 'f'); }
 
-/// True when `word` has the shape put_f64 gives a finite value:
-/// [-]0x<hex>[.<hex>][p(+|-)<digits>], hex digits in lower case.
-/// std::from_chars reads such a token as strtod does. It also takes some
-/// that strtod refuses, such as "0x1p+-3", so it must see no other kind.
+/// True when `word` is a finite double as put_f64 writes it:
+/// [-]0x1[.<hex>]p(+|-)<e> for e in [-1022, 1023], [-]0x0.<hex>p-1022 for
+/// a subnormal, or [-]0x0p+0, a fraction having 1 to 13 lower-case hex
+/// digits. Such a token names a double exactly, so std::from_chars reads
+/// it as strtod does. Other tokens may not read alike: from_chars takes
+/// "0x1p+-3", which strtod refuses, and glibc 2.36's strtod misrounds some
+/// longer spellings of subnormals, such as "0x3.e3513651bb8a9p-1026".
 bool has_writer_shape(std::string_view word) {
+  constexpr std::ptrdiff_t kMaxFractionDigits = 13;  // 52 bits
+  constexpr std::ptrdiff_t kMaxExponentDigits = 4;
   const char* at = word.data();
   const char* const end = at + word.size();
   if (at != end && *at == '-') ++at;
-  if (end - at < 3 || at[0] != '0' || at[1] != 'x' || !is_hex_digit(at[2])) return false;
+  if (end - at < 3 || at[0] != '0' || at[1] != 'x' || (at[2] != '0' && at[2] != '1')) {
+    return false;
+  }
+  const bool normal = at[2] == '1';
   at += 3;
-  while (at != end && is_hex_digit(*at)) ++at;
-  if (at != end && *at == '.') {
-    if (++at == end || !is_hex_digit(*at)) return false;
+  const bool fraction = at != end && *at == '.';
+  if (fraction) {
+    const char* const digits = ++at;
     while (at != end && is_hex_digit(*at)) ++at;
+    if (at == digits || at - digits > kMaxFractionDigits) return false;
   }
-  if (at != end && *at == 'p') {
-    if (++at == end || (*at != '+' && *at != '-')) return false;
-    if (++at == end || !is_digit(*at)) return false;
-    while (at != end && is_digit(*at)) ++at;
+  if (end - at < 3 || at[0] != 'p' || (at[1] != '+' && at[1] != '-')) return false;
+  const bool negative = at[1] == '-';
+  at += 2;
+  if (end - at > kMaxExponentDigits) return false;
+  int exponent = 0;
+  for (; at != end; ++at) {
+    if (!is_digit(*at)) return false;
+    exponent = exponent * 10 + (*at - '0');
   }
-  return at == end;
+  if (normal) return exponent <= (negative ? 1022 : 1023);
+  return fraction ? negative && exponent == 1022 : !negative && exponent == 0;
 }
 
 /// Whitespace-token cursor over the serialized text.

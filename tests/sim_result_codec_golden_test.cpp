@@ -21,6 +21,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <limits>
@@ -307,6 +308,26 @@ TEST(SimResultCodecGolden, DecodeOutcomesMatchThePinnedDigest) {
   EXPECT_GT(outcomes[kParsed], kEdits / 20);
   EXPECT_GT(outcomes[kError], kEdits / 4);
   EXPECT_EQ(hex(fnv.value()), hex(kDecodeDigest));
+}
+
+// A hex token in another spelling than the writer's reads as strtod reads
+// it, even where strtod rounds differently from std::from_chars: glibc
+// 2.36's strtod misrounds these spellings of subnormals by one unit in the
+// last place.
+TEST(SimResultCodecGolden, OtherHexSpellingsReadAsStrtodReadsThem) {
+  const std::string& host = payload(workload::AppId::kGcm, kNoCache);
+  for (const char* token :
+       {"0x3.e3513651bb8a9p-1026", "0x81262ca.838d36cp-1050", "0xc83b342.f21f124p-1052",
+        "0x634205.05d176420p-1049", "0x4ff5105.a809d020p-1055", "0x1.0000000000001p-1023",
+        "0x1.0123456789abcdef0123456789abp+0", "0xf.fffffffffffffp+1019", "0x0.8p+1"}) {
+    const SimResult result = parse_sim_result(with_series_value(host, "series.logical", 0, token));
+    const double expected = 0.0 + std::strtod(token, nullptr);
+    std::uint64_t got_bits = 0;
+    std::uint64_t expected_bits = 0;
+    std::memcpy(&got_bits, &result.logical_rate.bins()[0], sizeof got_bits);
+    std::memcpy(&expected_bits, &expected, sizeof expected_bits);
+    EXPECT_EQ(got_bits, expected_bits) << token;
+  }
 }
 
 /// Pages of which the last is unreadable; place() copies text so that its
