@@ -9,6 +9,9 @@
 // - encoder: the serialized text of the same traces, in a second digest.
 // - bounds: a line that ends exactly at an unreadable page, well-formed or
 //   cut short, decodes or throws without touching that page.
+// - binary: the encode_binary bytes of the same traces, and every outcome of
+//   decoding framed slices of them with seeded 1-4 byte edits, plus what a
+//   BinaryRecordDecoder::reset() mid-stream forgets.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -23,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "trace/binary.hpp"
+#include "trace/binary_stream.hpp"
 #include "trace/codec.hpp"
 #include "trace/stream.hpp"
 #include "util/digest.hpp"
@@ -69,21 +74,30 @@ void add_text(util::Fnv1a& fnv, std::string_view text) {
 
 enum Outcome { kRecord, kNothing, kError };
 
+void add_record(util::Fnv1a& fnv, const TraceRecord& r) {
+  fnv.add(std::uint8_t{kRecord});
+  fnv.add(r.record_type);
+  fnv.add(r.compression);
+  fnv.add(r.offset);
+  fnv.add(r.length);
+  fnv.add(r.start_time.count());
+  fnv.add(r.completion_time.count());
+  fnv.add(r.operation_id);
+  fnv.add(r.file_id);
+  fnv.add(r.process_id);
+  fnv.add(r.process_time.count());
+}
+
+void add_error(util::Fnv1a& fnv, const TraceFormatError& e) {
+  fnv.add(std::uint8_t{kError});
+  add_text(fnv, e.what());
+}
+
 /// Decodes `line` and folds whatever happens into `fnv`.
 Outcome fold_outcome(util::Fnv1a& fnv, AsciiTraceDecoder& decoder, std::string_view line) {
   try {
     if (const std::optional<TraceRecord> r = decoder.decode_line(line)) {
-      fnv.add(std::uint8_t{kRecord});
-      fnv.add(r->record_type);
-      fnv.add(r->compression);
-      fnv.add(r->offset);
-      fnv.add(r->length);
-      fnv.add(r->start_time.count());
-      fnv.add(r->completion_time.count());
-      fnv.add(r->operation_id);
-      fnv.add(r->file_id);
-      fnv.add(r->process_id);
-      fnv.add(r->process_time.count());
+      add_record(fnv, *r);
       return kRecord;
     }
     fnv.add(std::uint8_t{kNothing});
@@ -91,37 +105,42 @@ Outcome fold_outcome(util::Fnv1a& fnv, AsciiTraceDecoder& decoder, std::string_v
     fnv.add(decoder.comment_count());
     return kNothing;
   } catch (const TraceFormatError& e) {
-    fnv.add(std::uint8_t{kError});
-    add_text(fnv, e.what());
+    add_error(fnv, e);
     return kError;
   }
 }
 
-/// 1-3 edits (replace, insert, delete) drawn from the bytes that border
-/// on valid syntax: digits, separators, signs and the hex marker.
-std::string edit(std::string line, Rng& rng) {
-  static constexpr std::string_view kAlphabet = "0123456789 \t\r-+x";
-  const auto pick = [&] {
-    return kAlphabet[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kAlphabet.size()) - 1))];
-  };
-  const std::int64_t edits = rng.uniform_int(1, 3);
+/// 1 to `max_edits` edits (replace, insert, delete) of `text`, each new
+/// byte drawn by `pick`.
+template <typename Pick>
+std::string edit(std::string text, Rng& rng, std::int64_t max_edits, Pick pick) {
+  const std::int64_t edits = rng.uniform_int(1, max_edits);
   for (std::int64_t i = 0; i < edits; ++i) {
     const auto at = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(line.size())));
+        rng.uniform_int(0, static_cast<std::int64_t>(text.size())));
     switch (rng.uniform_int(0, 2)) {
       case 0:
-        if (at < line.size()) line[at] = pick();
+        if (at < text.size()) text[at] = pick();
         break;
       case 1:
-        line.insert(at, 1, pick());
+        text.insert(at, 1, pick());
         break;
       default:
-        if (at < line.size()) line.erase(at, 1);
+        if (at < text.size()) text.erase(at, 1);
         break;
     }
   }
-  return line;
+  return text;
+}
+
+/// 1-3 edits drawn from the bytes that border on valid syntax: digits,
+/// separators, signs and the hex marker.
+std::string edit(std::string line, Rng& rng) {
+  static constexpr std::string_view kAlphabet = "0123456789 \t\r-+x";
+  return edit(std::move(line), rng, 3, [&] {
+    return kAlphabet[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kAlphabet.size()) - 1))];
+  });
 }
 
 /// Hand-written lines at the edges of the syntax and of every range check.
@@ -212,6 +231,8 @@ const std::vector<std::string>& edge_lines() {
 // re-pin only on purpose.
 constexpr std::uint64_t kDecodeDigest = 0xc89e0673210c55d3;
 constexpr std::uint64_t kEncodeDigest = 0x3304ec3eeb4f4833;
+constexpr std::uint64_t kBinaryDecodeDigest = 0xffe29b0569a34cc2;
+constexpr std::uint64_t kBinaryEncodeDigest = 0x71524036233c1dd2;
 
 std::string hex(std::uint64_t value) {
   std::ostringstream out;
@@ -327,6 +348,156 @@ TEST(TraceCodecGolden, LinesEndingAtAnUnreadablePageNeverReadPastTheirEnd) {
         }
       },
       TraceFormatError);
+}
+
+std::string framed(const Trace& trace) {
+  std::ostringstream out;
+  BinaryTraceWriter writer(out);
+  for (const TraceRecord& record : trace) writer.write(record);
+  return out.str();
+}
+
+std::span<const std::byte> as_bytes(std::string_view text) {
+  return {reinterpret_cast<const std::byte*>(text.data()), text.size()};
+}
+
+/// Reads `stream` through a BinaryTraceReader and folds every record, then
+/// the clean end or the exact error, into `fnv`. Returns the records read.
+std::int64_t fold_stream(util::Fnv1a& fnv, std::string_view stream, Outcome& end) {
+  std::int64_t records = 0;
+  try {
+    BinaryTraceReader reader(as_bytes(stream));
+    while (const std::optional<TraceRecord> r = reader.next()) {
+      add_record(fnv, *r);
+      ++records;
+    }
+    fnv.add(std::uint8_t{kNothing});
+    end = kNothing;
+  } catch (const TraceFormatError& e) {
+    add_error(fnv, e);
+    end = kError;
+  }
+  return records;
+}
+
+/// Decodes records off the front of `bytes` until one throws, the bytes
+/// run out or `limit` records are read, folding each outcome into `fnv`.
+/// Returns what ended it.
+Outcome fold_records(util::Fnv1a& fnv, BinaryRecordDecoder& decoder,
+                     std::span<const std::byte>& bytes, std::size_t limit) {
+  for (std::size_t i = 0; i < limit && !bytes.empty(); ++i) {
+    try {
+      const BinaryRecordDecoder::Decoded d = decoder.decode(bytes);
+      add_record(fnv, d.record);
+      bytes = bytes.subspan(d.consumed);
+    } catch (const TraceFormatError& e) {
+      add_error(fnv, e);
+      return kError;
+    }
+  }
+  fnv.add(std::uint8_t{kNothing});
+  return kNothing;
+}
+
+TEST(TraceCodecGolden, BinaryBytesMatchThePinnedDigest) {
+  util::Fnv1a fnv;
+  for (const Trace& trace : corpus()) {
+    const std::vector<std::byte> bytes = encode_binary(trace);
+    fnv.add(bytes.size());
+    fnv.add_bytes(bytes.data(), bytes.size());
+
+    // An encoder reset halfway writes the second half as a new trace.
+    BinaryRecordEncoder encoder;
+    std::vector<std::byte> out;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (i == trace.size() / 2) encoder.reset();
+      encoder.encode_to(trace[i], out);
+    }
+    fnv.add(out.size());
+    fnv.add_bytes(out.data(), out.size());
+  }
+  EXPECT_EQ(hex(fnv.value()), hex(kBinaryEncodeDigest));
+}
+
+TEST(TraceCodecGolden, BinaryDecodeOutcomesMatchThePinnedDigest) {
+  util::Fnv1a fnv;
+  Rng rng(0xB1AC0DEC);
+  const std::vector<Trace>& traces = corpus();
+
+  // Framed slices of the corpus, each with 1-4 edits of arbitrary bytes.
+  constexpr int kStreams = 3000;
+  std::int64_t records = 0;
+  std::int64_t errors = 0;
+  for (int i = 0; i < kStreams; ++i) {
+    const Trace& trace = traces[static_cast<std::size_t>(i) % traces.size()];
+    const std::int64_t count = rng.uniform_int(16, 160);
+    const std::int64_t first =
+        rng.uniform_int(0, static_cast<std::int64_t>(trace.size()) - count);
+    const Trace slice(trace.begin() + first, trace.begin() + first + count);
+    const std::string stream = edit(framed(slice), rng, 4, [&] {
+      return static_cast<char>(rng.uniform_int(0, 255));
+    });
+    Outcome end = kNothing;
+    records += fold_stream(fnv, stream, end);
+    if (end == kError) ++errors;
+  }
+  EXPECT_GT(records, kStreams * 40);
+  EXPECT_GT(errors, kStreams / 2);
+  EXPECT_LT(errors, kStreams);
+
+  // A reset halfway forgets every earlier record. The stream's next records
+  // were written against that state, so one of them fails; a second half
+  // written by a reset encoder decodes exactly, its first start time read
+  // as absolute.
+  for (const Trace& trace : traces) {
+    const std::vector<std::byte> bytes = encode_binary(trace);
+    const std::size_t half = trace.size() / 2;
+    std::span<const std::byte> rest(bytes);
+    BinaryRecordDecoder decoder;
+    EXPECT_EQ(fold_records(fnv, decoder, rest, half), kNothing);
+    decoder.reset();
+    EXPECT_EQ(fold_records(fnv, decoder, rest, 64), kError);
+
+    BinaryRecordEncoder encoder;
+    std::vector<std::byte> second;
+    for (std::size_t i = half; i < trace.size(); ++i) encoder.encode_to(trace[i], second);
+    decoder.reset();
+    std::span<const std::byte> left(second);
+    for (std::size_t i = half; i < trace.size(); ++i) {
+      const BinaryRecordDecoder::Decoded d = decoder.decode(left);
+      ASSERT_EQ(d.record, trace[i]);
+      add_record(fnv, d.record);
+      left = left.subspan(d.consumed);
+    }
+  }
+  EXPECT_EQ(hex(fnv.value()), hex(kBinaryDecodeDigest));
+}
+
+TEST(TraceCodecGolden, BinaryResetForgetsThePreviousRecord) {
+  TraceRecord a;
+  a.record_type = kTraceLogicalRecord;
+  a.offset = 0;
+  a.length = 4096;
+  a.start_time = Ticks(100);
+  a.process_id = 7;
+  a.file_id = 3;
+  a.operation_id = 1;
+  TraceRecord b = a;
+  b.offset = 4096;
+  b.start_time = Ticks(150);
+  const std::vector<std::byte> both = encode_binary({a, b});
+  const std::vector<std::byte> b_alone = encode_binary({b});
+
+  BinaryRecordDecoder decoder;
+  const std::size_t a_bytes = decoder.decode(both).consumed;
+  decoder.reset();
+  try {
+    (void)decoder.decode(std::span(both).subspan(a_bytes));
+    ADD_FAILURE() << "a compressed reference decoded after reset()";
+  } catch (const TraceFormatError& e) {
+    EXPECT_STREQ(e.what(), "trace format: binary: TRACE_NO_PROCESSID on first record");
+  }
+  EXPECT_EQ(decoder.decode(b_alone).record.start_time, Ticks(150));
 }
 
 }  // namespace
