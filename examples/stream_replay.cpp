@@ -7,8 +7,8 @@
 //
 //   stream_replay replay <path>
 //       Replays the trace through the simulator by pulling records on demand
-//       (bounded-buffer binary stream, no mmap), so peak RSS is independent
-//       of trace size. Run under `/usr/bin/time -v` to verify.
+//       from a mapped stream that drops the pages it has read, so peak RSS
+//       is independent of trace size. Run under `/usr/bin/time -v` to verify.
 //
 // Build & run:  cmake --build build && ./build/examples/stream_replay ...
 #include <cstdio>
@@ -64,12 +64,9 @@ int synthesize(const std::string& path, long megabytes) {
 }
 
 int replay(const std::string& path) {
-  // prefer_mmap=false: stream through a bounded buffer so resident set stays
-  // flat even when the trace dwarfs RAM (mapped pages would count toward
-  // peak RSS as the parse touches them).
-  trace::StreamOptions options;
-  options.prefer_mmap = false;
-  auto records = trace::open_record_stream(path, options);
+  // The mapped stream drops the pages behind its read position every few
+  // MB, so the resident set stays flat even when the trace dwarfs RAM.
+  auto records = trace::open_record_stream(path);
   auto source = std::make_unique<sim::StreamingReplaySource>(std::move(records));
   const sim::StreamingReplaySource* probe = source.get();
 

@@ -5,8 +5,8 @@
 // order at procstat — and real disk farms suffer transient I/O errors and
 // device deaths. A FaultPlan describes which failures to inject and at what
 // rates; a FaultInjector is the seeded stream of decisions derived from it.
-// Every consumer (ProcstatCollector, TraceReader, DiskModel) takes a plan,
-// so one seed reproduces one exact failure schedule end to end.
+// Both consumers (ProcstatCollector, DiskModel) take a plan, so one seed
+// reproduces one exact failure schedule end to end.
 //
 // The substrate is zero-cost when disabled: a default FaultPlan{} injects
 // nothing, consumers skip every injector call on their fast paths, and no

@@ -2,9 +2,9 @@
 
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
+#include "trace/binary.hpp"
 #include "trace/codec.hpp"
 #include "trace/mapped_file.hpp"
 #include "util/error.hpp"
@@ -12,8 +12,10 @@
 namespace craysim::trace {
 namespace {
 
-// Fixed-width little-endian primitives shared by the whole-trace codec
-// (binary.cpp builds on the encoder/decoder below) and the framed stream.
+// The fixed-width format stores every present integer at its natural C
+// width, as `struct traceRecord` would have been dumped on the Cray (minus
+// absent fields). Values that do not fit are a hard error — one of the
+// practical reasons the study chose variable-length text.
 void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
   out.push_back(static_cast<std::byte>(v & 0xff));
   out.push_back(static_cast<std::byte>(v >> 8));
@@ -56,10 +58,6 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-std::uint64_t file_key(std::uint32_t pid, std::uint32_t file_id) {
-  return (static_cast<std::uint64_t>(pid) << 32) | file_id;
-}
-
 }  // namespace
 
 bool starts_with_binary_magic(std::span<const std::byte> data) {
@@ -68,8 +66,7 @@ bool starts_with_binary_magic(std::span<const std::byte> data) {
 }
 
 bool starts_with_binary_magic(std::string_view text) {
-  return starts_with_binary_magic(
-      std::span(reinterpret_cast<const std::byte*>(text.data()), text.size()));
+  return starts_with_binary_magic(std::as_bytes(std::span(text)));
 }
 
 // ---------------------------------------------------------------------------
@@ -79,69 +76,22 @@ bool starts_with_binary_magic(std::string_view text) {
 bool BinaryRecordEncoder::encode_to(const TraceRecord& record, std::vector<std::byte>& out) {
   validate(record);
   if (record.is_comment()) return false;  // binary dumps carried no comments
-  if (has_previous_ && record.start_time < previous_start_) {
-    throw TraceFormatError("records must be encoded in start-time order");
-  }
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
-  std::uint16_t compression = 0;
-
-  const bool omit_pid = has_previous_ && record.process_id == last_process_id_;
-  if (omit_pid) compression |= kNoProcessId;
-  const auto file_it = last_file_by_process_.find(record.process_id);
-  const bool omit_file =
-      file_it != last_file_by_process_.end() && file_it->second == record.file_id;
-  if (omit_file) compression |= kNoFileId;
-  const auto state_it = file_states_.find(key);
-  const FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
-  const bool omit_op = state != nullptr && state->has_operation &&
-                       state->last_operation_id == record.operation_id;
-  if (omit_op) compression |= kNoOperationId;
-  const bool omit_offset = state != nullptr && record.offset == state->next_sequential_offset;
-  if (omit_offset) compression |= kNoOffset;
-  const bool omit_length = state != nullptr && record.length == state->last_length;
-  if (omit_length) compression |= kNoLength;
-
-  Bytes offset_value = record.offset;
-  if (!omit_offset && offset_value != 0 && offset_value % kTraceBlockSize == 0) {
-    compression |= kOffsetInBlocks;
-    offset_value /= kTraceBlockSize;
-  }
-  Bytes length_value = record.length;
-  if (!omit_length && length_value != 0 && length_value % kTraceBlockSize == 0) {
-    compression |= kLengthInBlocks;
-    length_value /= kTraceBlockSize;
-  }
-  const Ticks start_delta =
-      has_previous_ ? record.start_time - previous_start_ : record.start_time;
+  const CompressionState::Choice choice = state_.choose(record);
+  const std::uint16_t c = choice.compression;
 
   put_u16(out, record.record_type);
-  put_u16(out, compression);
-  if (!omit_offset) put_u32(out, static_cast<std::uint64_t>(offset_value), "offset");
-  if (!omit_length) put_u32(out, static_cast<std::uint64_t>(length_value), "length");
-  put_u32(out, static_cast<std::uint64_t>(start_delta.count()), "startTime");
+  put_u16(out, c);
+  if (!(c & kNoOffset)) put_u32(out, static_cast<std::uint64_t>(choice.offset), "offset");
+  if (!(c & kNoLength)) put_u32(out, static_cast<std::uint64_t>(choice.length), "length");
+  put_u32(out, static_cast<std::uint64_t>(choice.start_delta.count()), "startTime");
   put_u32(out, static_cast<std::uint64_t>(record.completion_time.count()), "completionTime");
-  if (!omit_op) put_u32(out, record.operation_id, "operationId");
-  if (!omit_file) put_u32(out, record.file_id, "fileId");
-  if (!omit_pid) put_u32(out, record.process_id, "processId");
+  if (!(c & kNoOperationId)) put_u32(out, record.operation_id, "operationId");
+  if (!(c & kNoFileId)) put_u32(out, record.file_id, "fileId");
+  if (!(c & kNoProcessId)) put_u32(out, record.process_id, "processId");
   put_u32(out, static_cast<std::uint64_t>(record.process_time.count()), "processTime");
 
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  state_.commit(record, choice.file);
   return true;
-}
-
-void BinaryRecordEncoder::reset() {
-  has_previous_ = false;
-  last_process_id_ = 0;
-  last_file_by_process_.clear();
-  file_states_.clear();
 }
 
 BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::byte> data) {
@@ -175,23 +125,19 @@ BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::by
 
   if (pid_field) {
     record.process_id = *pid_field;
-  } else if (has_last_process_) {
-    record.process_id = last_process_id_;
+  } else if (state_.has_previous()) {
+    record.process_id = state_.previous_process();
   } else {
     throw TraceFormatError("binary: TRACE_NO_PROCESSID on first record");
   }
   if (file_field) {
     record.file_id = *file_field;
+  } else if (const std::uint32_t* last_file = state_.last_file_of(record.process_id)) {
+    record.file_id = *last_file;
   } else {
-    const auto it = last_file_by_process_.find(record.process_id);
-    if (it == last_file_by_process_.end()) {
-      throw TraceFormatError("binary: TRACE_NO_FILEID with no prior record for process");
-    }
-    record.file_id = it->second;
+    throw TraceFormatError("binary: TRACE_NO_FILEID with no prior record for process");
   }
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
-  const auto state_it = file_states_.find(key);
-  FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  CompressionState::File* state = state_.file(record.process_id, record.file_id);
   if (op_field) {
     record.operation_id = *op_field;
   } else if (state != nullptr && state->has_operation) {
@@ -213,28 +159,114 @@ BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::by
   } else {
     throw TraceFormatError("binary: TRACE_NO_LENGTH with no prior access to file");
   }
-  record.start_time = has_previous_ ? previous_start_ + start_delta : start_delta;
+  record.start_time =
+      state_.has_previous() ? state_.previous_start() + start_delta : start_delta;
   validate(record);
 
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  has_last_process_ = true;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  state_.commit(record, state);
   return {record, cursor.consumed()};
 }
 
-void BinaryRecordDecoder::reset() {
-  has_previous_ = false;
-  has_last_process_ = false;
-  last_process_id_ = 0;
-  last_file_by_process_.clear();
-  file_states_.clear();
+// ---------------------------------------------------------------------------
+// Whole-trace codecs (binary.hpp).
+// ---------------------------------------------------------------------------
+
+// The compressed codec is the whole-trace view of the streaming state
+// machines above: one shared encoder/decoder pair means the framed stream's
+// payload and these functions' output cannot drift apart.
+std::vector<std::byte> encode_binary(const Trace& trace) {
+  std::vector<std::byte> out;
+  out.reserve(trace.size() * 24);
+  BinaryRecordEncoder encoder;
+  for (const TraceRecord& record : trace) encoder.encode_to(record, out);
+  return out;
+}
+
+Trace decode_binary(std::span<const std::byte> data) {
+  Trace trace;
+  BinaryRecordDecoder decoder;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    auto [record, consumed] = decoder.decode(data.subspan(pos));
+    pos += consumed;
+    trace.push_back(record);
+  }
+  return trace;
+}
+
+std::vector<std::byte> encode_binary_struct_dump(const Trace& trace) {
+  std::vector<std::byte> out;
+  out.reserve(trace.size() * kStructDumpRecordBytes);
+  bool has_previous = false;
+  Ticks previous_start;
+  auto put_u64 = [&out](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+  };
+  for (const TraceRecord& record : trace) {
+    validate(record);
+    if (record.is_comment()) continue;
+    if (has_previous && record.start_time < previous_start) {
+      throw TraceFormatError("records must be encoded in start-time order");
+    }
+    const Ticks start_delta =
+        has_previous ? record.start_time - previous_start : record.start_time;
+    put_u16(out, record.record_type);
+    put_u16(out, 0);  // compression: nothing omitted in a struct dump
+    put_u32(out, static_cast<std::uint64_t>(record.offset), "offset");
+    put_u32(out, static_cast<std::uint64_t>(record.length), "length");
+    put_u64(static_cast<std::uint64_t>(start_delta.count()));
+    put_u64(static_cast<std::uint64_t>(record.completion_time.count()));
+    put_u32(out, record.operation_id, "operationId");
+    put_u32(out, record.file_id, "fileId");
+    put_u32(out, record.process_id, "processId");
+    put_u32(out, static_cast<std::uint64_t>(record.process_time.count()), "processTime");
+    has_previous = true;
+    previous_start = record.start_time;
+  }
+  return out;
+}
+
+Trace decode_binary_struct_dump(std::span<const std::byte> data) {
+  if (data.size() % kStructDumpRecordBytes != 0) {
+    throw TraceFormatError("struct-dump trace length is not a whole number of records");
+  }
+  Trace trace;
+  Cursor cursor(data);
+  bool has_previous = false;
+  Ticks previous_start;
+  auto u64 = [&cursor]() {
+    const std::uint64_t lo = cursor.u32();
+    const std::uint64_t hi = cursor.u32();
+    return lo | (hi << 32);
+  };
+  while (cursor.consumed() < data.size()) {
+    TraceRecord record;
+    record.record_type = cursor.u16();
+    record.compression = cursor.u16();
+    record.offset = static_cast<Bytes>(cursor.u32());
+    record.length = static_cast<Bytes>(cursor.u32());
+    const Ticks start_delta = Ticks(static_cast<std::int64_t>(u64()));
+    record.completion_time = Ticks(static_cast<std::int64_t>(u64()));
+    record.operation_id = cursor.u32();
+    record.file_id = cursor.u32();
+    record.process_id = cursor.u32();
+    record.process_time = Ticks(cursor.u32());
+    record.start_time = has_previous ? previous_start + start_delta : start_delta;
+    validate(record);
+    has_previous = true;
+    previous_start = record.start_time;
+    trace.push_back(record);
+  }
+  return trace;
+}
+
+FormatComparison compare_formats(const Trace& trace) {
+  FormatComparison result;
+  result.records = trace.size();
+  result.ascii_bytes = serialize_trace(trace).size();
+  result.binary_struct_bytes = encode_binary_struct_dump(trace).size();
+  result.binary_compressed_bytes = encode_binary(trace).size();
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +274,6 @@ void BinaryRecordDecoder::reset() {
 // ---------------------------------------------------------------------------
 
 BinaryTraceWriter::BinaryTraceWriter(std::ostream& out) : out_(&out) {
-  scratch_.reserve(kMaxBinaryRecordBytes);
   std::vector<std::byte> header(kBinaryTraceMagic.begin(), kBinaryTraceMagic.end());
   put_u16(header, kBinaryTraceVersion);
   put_u16(header, 0);  // flags, reserved
@@ -260,11 +291,11 @@ void BinaryTraceWriter::write(const TraceRecord& record) {
   ++records_written_;
 }
 
-void BinaryTraceReader::check_header(std::span<const std::byte> header) {
-  if (header.size() < kBinaryFrameHeaderBytes || !starts_with_binary_magic(header)) {
+BinaryTraceReader::BinaryTraceReader(std::span<const std::byte> data) : data_(data) {
+  if (data_.size() < kBinaryFrameHeaderBytes || !starts_with_binary_magic(data_)) {
     throw TraceFormatError("not a framed binary trace (bad magic)");
   }
-  Cursor cursor(header.subspan(kBinaryTraceMagic.size()));
+  Cursor cursor(data_.subspan(kBinaryTraceMagic.size()));
   const std::uint16_t version = cursor.u16();
   const std::uint16_t flags = cursor.u16();
   if (version != kBinaryTraceVersion) {
@@ -275,52 +306,10 @@ void BinaryTraceReader::check_header(std::span<const std::byte> header) {
   }
 }
 
-BinaryTraceReader::BinaryTraceReader(std::istream& in) : in_(&in) {
-  // Refill window: large enough that almost every next() decodes straight
-  // from the buffer, small enough that peak memory is trivially bounded.
-  buffer_.resize(std::size_t{64} * 1024);
-  in_->read(reinterpret_cast<char*>(buffer_.data()),
-            static_cast<std::streamsize>(buffer_.size()));
-  buf_end_ = static_cast<std::size_t>(in_->gcount());
-  eof_ = buf_end_ < buffer_.size();
-  check_header(std::span(buffer_.data(), buf_end_));
-  buf_pos_ = kBinaryFrameHeaderBytes;
-}
-
-BinaryTraceReader::BinaryTraceReader(std::span<const std::byte> data) : data_(data) {
-  check_header(data_);
-  pos_ = kBinaryFrameHeaderBytes;
-}
-
-std::span<const std::byte> BinaryTraceReader::available() {
-  if (in_ == nullptr) return data_.subspan(pos_);
-  if (!eof_ && buf_end_ - buf_pos_ < kMaxBinaryRecordBytes) {
-    // Slide the unconsumed tail to the front and top the window back up.
-    std::memmove(buffer_.data(), buffer_.data() + buf_pos_, buf_end_ - buf_pos_);
-    buf_end_ -= buf_pos_;
-    buf_pos_ = 0;
-    in_->read(reinterpret_cast<char*>(buffer_.data() + buf_end_),
-              static_cast<std::streamsize>(buffer_.size() - buf_end_));
-    const auto got = static_cast<std::size_t>(in_->gcount());
-    buf_end_ += got;
-    if (got == 0 || buf_end_ < buffer_.size()) eof_ = in_->eof() || got == 0;
-    if (in_->bad()) throw Error("binary trace: read failed");
-  }
-  return std::span(buffer_.data() + buf_pos_, buf_end_ - buf_pos_);
-}
-
 std::optional<TraceRecord> BinaryTraceReader::next() {
-  const std::span<const std::byte> bytes = available();
-  if (bytes.empty()) return std::nullopt;  // clean end of stream
-  // A partial record here means the file genuinely ends mid-record: the
-  // buffer was topped up past the watermark, so the decoder's truncation
-  // throw is authoritative.
-  auto [record, consumed] = decoder_.decode(bytes);
-  if (in_ == nullptr) {
-    pos_ += consumed;
-  } else {
-    buf_pos_ += consumed;
-  }
+  if (pos_ == data_.size()) return std::nullopt;  // clean end of stream
+  auto [record, consumed] = decoder_.decode(data_.subspan(pos_));
+  pos_ += consumed;
   ++records_read_;
   return record;
 }
@@ -340,19 +329,17 @@ void save_trace_binary(const Trace& trace, const std::string& path) {
 
 Trace load_trace_binary(const std::string& path) {
   Trace trace;
-  auto drain = [&trace](BinaryTraceReader& reader) {
+  auto drain = [&trace](std::span<const std::byte> bytes) {
+    BinaryTraceReader reader(bytes);
     while (auto record = reader.next()) trace.push_back(*record);
   };
   if (auto mapped = MappedFile::open(path)) {
     mapped->advise_sequential();
-    BinaryTraceReader reader(mapped->bytes());
-    drain(reader);
-    return trace;
+    drain(mapped->bytes());
+  } else {
+    const std::string bytes = read_file(path);
+    drain(std::as_bytes(std::span(bytes)));
   }
-  const std::string text = read_file(path);
-  BinaryTraceReader reader(
-      std::span(reinterpret_cast<const std::byte*>(text.data()), text.size()));
-  drain(reader);
   return trace;
 }
 

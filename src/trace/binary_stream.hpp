@@ -10,12 +10,12 @@
 //
 // BinaryRecordEncoder/BinaryRecordDecoder are the per-record state machines
 // both layers share, so the streamed payload is byte-identical to the
-// whole-trace codec by construction: write_binary_trace(trace) ==
-// frame header + encode_binary(trace), bit for bit.
+// whole-trace codec by construction: what a BinaryTraceWriter writes for a
+// trace is the frame header + encode_binary(trace), bit for bit.
 //
-// BinaryTraceWriter/BinaryTraceReader stream records through a bounded
-// buffer — peak memory is independent of trace size — and BinaryTraceReader
-// implements the same next() interface (RecordSource) as TraceReader and
+// BinaryTraceWriter writes records one at a time to a stream, and
+// BinaryTraceReader reads them one at a time from a byte span (a mapped
+// file, say) behind the same next() interface (RecordSource) as
 // TraceTextReader, so simulation can replay a multi-GB binary trace without
 // ever materializing the record vector (sim::StreamingReplaySource).
 #pragma once
@@ -27,9 +27,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "trace/codec.hpp"
 #include "trace/record.hpp"
 #include "trace/stream.hpp"
 
@@ -42,10 +42,6 @@ inline constexpr std::array<std::byte, 4> kBinaryTraceMagic = {
     std::byte{0xCB}, std::byte{'T'}, std::byte{'R'}, std::byte{'C'}};
 inline constexpr std::uint16_t kBinaryTraceVersion = 1;
 inline constexpr std::size_t kBinaryFrameHeaderBytes = 8;
-
-/// Upper bound on one encoded record: 2+2 flag words plus at most eight
-/// 4-byte fields. The streaming reader sizes its refill watermark with this.
-inline constexpr std::size_t kMaxBinaryRecordBytes = 36;
 
 /// True when `data` begins with the framed-trace magic.
 [[nodiscard]] bool starts_with_binary_magic(std::span<const std::byte> data);
@@ -63,21 +59,10 @@ class BinaryRecordEncoder {
   bool encode_to(const TraceRecord& record, std::vector<std::byte>& out);
 
   /// Forgets all relative-field state (e.g. between independent traces).
-  void reset();
+  void reset() { state_.reset(); }
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;  // key: pid<<32|fileId
+  CompressionState state_;
 };
 
 /// Stateful record-at-a-time decoder mirroring BinaryRecordEncoder. Feeding
@@ -96,22 +81,12 @@ class BinaryRecordDecoder {
   /// flag references state no prior record established.
   [[nodiscard]] Decoded decode(std::span<const std::byte> data);
 
-  void reset();
+  /// Forgets all relative-field state: the next record's start time reads
+  /// as absolute, and a field it leaves out fails to resolve.
+  void reset() { state_.reset(); }
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  bool has_last_process_ = false;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;
+  CompressionState state_;
 };
 
 /// Writes a framed binary trace one record at a time. The frame header goes
@@ -136,38 +111,24 @@ class BinaryTraceWriter {
   std::int64_t records_written_ = 0;
 };
 
-/// Reads a framed binary trace one record at a time behind the RecordSource
-/// next() interface. Two flavors:
-///  - over an istream: bounded refill buffer, peak memory independent of
-///    trace size (the replay path for traces larger than RAM);
-///  - over a byte span (e.g. MappedFile::bytes()): zero-copy, no buffer.
-/// Both validate the frame header eagerly in the constructor and throw
-/// TraceFormatError on bad magic/version or truncation mid-record.
+/// Reads a framed binary trace one record at a time, zero-copy, from a byte
+/// span (e.g. MappedFile::bytes()) behind the RecordSource next()
+/// interface. Validates the frame header eagerly in the constructor and
+/// throws TraceFormatError on bad magic/version or truncation mid-record.
 class BinaryTraceReader final : public RecordSource {
  public:
-  explicit BinaryTraceReader(std::istream& in);
   explicit BinaryTraceReader(std::span<const std::byte> data);
 
   /// Next record, or nullopt at a clean end of stream.
   [[nodiscard]] std::optional<TraceRecord> next() override;
 
   [[nodiscard]] std::int64_t records_read() const { return records_read_; }
-  /// Span mode: bytes of the span decoded so far, header included.
+  /// Bytes of the span decoded so far, header included.
   [[nodiscard]] std::size_t consumed() const { return pos_; }
 
  private:
-  /// Tops the buffer up to at least kMaxBinaryRecordBytes (or EOF) and
-  /// returns the bytes available from the current position.
-  [[nodiscard]] std::span<const std::byte> available();
-  void check_header(std::span<const std::byte> header);
-
-  std::istream* in_ = nullptr;           ///< null in span mode
-  std::span<const std::byte> data_;      ///< span mode: the whole payload
-  std::vector<std::byte> buffer_;        ///< istream mode: refill window
-  std::size_t buf_pos_ = 0;              ///< consumed prefix of buffer_
-  std::size_t buf_end_ = 0;              ///< valid bytes in buffer_
-  std::size_t pos_ = 0;                  ///< span mode cursor
-  bool eof_ = false;
+  std::span<const std::byte> data_;
+  std::size_t pos_ = kBinaryFrameHeaderBytes;
   BinaryRecordDecoder decoder_;
   std::int64_t records_read_ = 0;
 };

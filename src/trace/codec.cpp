@@ -62,6 +62,40 @@ CompressionState::File* CompressionState::file(std::uint32_t pid, std::uint32_t 
   return it == files_.end() ? nullptr : &it->second;
 }
 
+CompressionState::Choice CompressionState::choose(const TraceRecord& record) {
+  if (has_previous_ && record.start_time < previous_start_) {
+    throw TraceFormatError("records must be encoded in start-time order");
+  }
+  Choice choice;
+  if (has_previous_ && record.process_id == previous_process_) choice.compression |= kNoProcessId;
+  const std::uint32_t* last_file = last_file_of(record.process_id);
+  if (last_file != nullptr && *last_file == record.file_id) choice.compression |= kNoFileId;
+
+  choice.file = file(record.process_id, record.file_id);
+  if (const File* state = choice.file) {
+    if (state->has_operation && state->last_operation_id == record.operation_id) {
+      choice.compression |= kNoOperationId;
+    }
+    if (record.offset == state->next_sequential_offset) choice.compression |= kNoOffset;
+    if (record.length == state->last_length) choice.compression |= kNoLength;
+  }
+
+  choice.offset = record.offset;
+  if (!(choice.compression & kNoOffset) && choice.offset != 0 &&
+      choice.offset % kTraceBlockSize == 0) {
+    choice.compression |= kOffsetInBlocks;
+    choice.offset /= kTraceBlockSize;
+  }
+  choice.length = record.length;
+  if (!(choice.compression & kNoLength) && choice.length != 0 &&
+      choice.length % kTraceBlockSize == 0) {
+    choice.compression |= kLengthInBlocks;
+    choice.length /= kTraceBlockSize;
+  }
+  choice.start_delta = has_previous_ ? record.start_time - previous_start_ : record.start_time;
+  return choice;
+}
+
 void CompressionState::commit(const TraceRecord& record, File* state) {
   if (has_previous_ && record.process_id != previous_process_) {
     last_file_by_process_[previous_process_] = previous_file_;
@@ -92,44 +126,8 @@ std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
   if (record.is_comment()) {
     throw TraceFormatError("use encode_comment for comment records");
   }
-  if (state_.has_previous() && record.start_time < state_.previous_start()) {
-    throw TraceFormatError("records must be encoded in start-time order");
-  }
-
-  std::uint16_t compression = 0;
-
-  const bool omit_pid = state_.has_previous() && record.process_id == state_.previous_process();
-  if (omit_pid) compression |= kNoProcessId;
-
-  const std::uint32_t* last_file = state_.last_file_of(record.process_id);
-  const bool omit_file = last_file != nullptr && *last_file == record.file_id;
-  if (omit_file) compression |= kNoFileId;
-
-  CompressionState::File* state = state_.file(record.process_id, record.file_id);
-
-  const bool omit_op =
-      state != nullptr && state->has_operation && state->last_operation_id == record.operation_id;
-  if (omit_op) compression |= kNoOperationId;
-
-  const bool omit_offset = state != nullptr && record.offset == state->next_sequential_offset;
-  if (omit_offset) compression |= kNoOffset;
-
-  const bool omit_length = state != nullptr && record.length == state->last_length;
-  if (omit_length) compression |= kNoLength;
-
-  Bytes offset_value = record.offset;
-  if (!omit_offset && offset_value != 0 && offset_value % kTraceBlockSize == 0) {
-    compression |= kOffsetInBlocks;
-    offset_value /= kTraceBlockSize;
-  }
-  Bytes length_value = record.length;
-  if (!omit_length && length_value != 0 && length_value % kTraceBlockSize == 0) {
-    compression |= kLengthInBlocks;
-    length_value /= kTraceBlockSize;
-  }
-
-  const Ticks start_delta = state_.has_previous() ? record.start_time - state_.previous_start()
-                                                  : record.start_time;
+  const CompressionState::Choice choice = state_.choose(record);
+  const std::uint16_t c = choice.compression;
 
   // Every field is rendered into one stack buffer, each after a space; the
   // line starts after the first space.
@@ -140,17 +138,17 @@ std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
     out = std::to_chars(out, buf.data() + buf.size(), value).ptr;
   };
   put(record.record_type);
-  put(compression);
-  if (!omit_offset) put(offset_value);
-  if (!omit_length) put(length_value);
-  put(start_delta.count());
+  put(c);
+  if (!(c & kNoOffset)) put(choice.offset);
+  if (!(c & kNoLength)) put(choice.length);
+  put(choice.start_delta.count());
   put(record.completion_time.count());
-  if (!omit_op) put(record.operation_id);
-  if (!omit_file) put(record.file_id);
-  if (!omit_pid) put(record.process_id);
+  if (!(c & kNoOperationId)) put(record.operation_id);
+  if (!(c & kNoFileId)) put(record.file_id);
+  if (!(c & kNoProcessId)) put(record.process_id);
   put(record.process_time.count());
 
-  state_.commit(record, state);
+  state_.commit(record, choice.file);
   return std::string(buf.data() + 1, out);
 }
 

@@ -56,6 +56,21 @@ class CompressionState {
   /// record.
   [[nodiscard]] File* file(std::uint32_t pid, std::uint32_t file_id);
 
+  /// How an encoder writes a record against this state: its compression
+  /// flags, the offset and length it stores (in 512-byte blocks where the
+  /// flags say so), its start-time delta, and what file() returned for it.
+  struct Choice {
+    std::uint16_t compression = 0;
+    Bytes offset = 0;
+    Bytes length = 0;
+    Ticks start_delta;
+    File* file = nullptr;
+  };
+
+  /// The tightest compression this state permits for `record`. Throws
+  /// TraceFormatError when `record` starts before the previous record.
+  [[nodiscard]] Choice choose(const TraceRecord& record);
+
   /// Makes `record` the previous record. `state` is what file() returned for
   /// its process and file; null creates the entry.
   void commit(const TraceRecord& record, File* state);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -46,52 +47,6 @@ std::size_t record_capacity(std::string_view text) {
   return std::min(lines, text.size() / 10 + 1);
 }
 
-/// One line under the shared strict/recoverable decode policy (both readers
-/// funnel through here so their semantics cannot drift apart). Returns the
-/// record, or nullopt for comments/blank/skipped lines.
-std::optional<TraceRecord> decode_with_policy(AsciiTraceDecoder& decoder, std::string_view line,
-                                              std::int64_t line_number,
-                                              const std::optional<RecoveryOptions>& recovery,
-                                              ParseReport& report) {
-  try {
-    if (auto record = decoder.decode_line(line)) {
-      ++report.records_parsed;
-      return record;
-    }
-  } catch (const TraceFormatError& e) {
-    if (!recovery) {
-      // The rethrow puts the line number after e.what()'s prefix, which the
-      // new error adds again.
-      const std::string_view detail =
-          std::string_view(e.what()).substr(TraceFormatError::kPrefix.size());
-      throw TraceFormatError("line " + std::to_string(line_number) + ": " + std::string(detail));
-    }
-    // decode_line only commits decoder state after a full successful decode,
-    // so a thrown line leaves the relative-field state at the last good
-    // record and the next well-formed line resynchronizes.
-    ++report.lines_skipped;
-    if (static_cast<std::int64_t>(report.defects.size()) < ParseReport::kMaxRecordedDefects) {
-      report.defects.push_back({line_number, e.what()});
-    }
-    if (recovery->error_budget >= 0 && report.lines_skipped > recovery->error_budget) {
-      throw FaultError("parse error budget of " + std::to_string(recovery->error_budget) +
-                       " exhausted at line " + std::to_string(line_number) + " (" + e.what() +
-                       ")");
-    }
-  }
-  return std::nullopt;
-}
-
-/// The chunked tail of read_file, shared with open_record_stream so the
-/// non-seekable fallback there never has to reopen a FIFO (a second open
-/// could block forever once the writer is gone).
-void append_chunked(std::istream& in, std::string& text) {
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-}
-
 }  // namespace
 
 std::string read_file(const std::string& path) {
@@ -112,7 +67,10 @@ std::string read_file(const std::string& path) {
     in.clear();
     in.seekg(0);
     in.clear();
-    append_chunked(in, text);
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+      text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    }
   }
   if (in.bad()) throw Error("read failed: " + path);
   return text;
@@ -130,16 +88,6 @@ void TraceWriter::write(const TraceRecord& record) {
 
 void TraceWriter::comment(std::string_view text) { write_line(encoder_.encode_comment(text)); }
 
-std::optional<TraceRecord> TraceReader::next() {
-  while (std::getline(*in_, line_)) {
-    ++line_number_;
-    if (auto record = decode_with_policy(decoder_, line_, line_number_, recovery_, report_)) {
-      return record;
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<TraceRecord> TraceTextReader::next() {
   while (pos_ < text_.size()) {
     const std::size_t newline = text_.find('\n', pos_);
@@ -148,8 +96,32 @@ std::optional<TraceRecord> TraceTextReader::next() {
                                       : text_.substr(pos_, newline - pos_);
     pos_ = newline == std::string_view::npos ? text_.size() : newline + 1;
     ++line_number_;
-    if (auto record = decode_with_policy(decoder_, line, line_number_, recovery_, report_)) {
-      return record;
+    try {
+      if (auto record = decoder_.decode_line(line)) {
+        ++report_.records_parsed;
+        return record;
+      }
+    } catch (const TraceFormatError& e) {
+      if (!recovery_) {
+        // The rethrow puts the line number after e.what()'s prefix, which the
+        // new error adds again.
+        const std::string_view detail =
+            std::string_view(e.what()).substr(TraceFormatError::kPrefix.size());
+        throw TraceFormatError("line " + std::to_string(line_number_) + ": " +
+                               std::string(detail));
+      }
+      // decode_line only commits decoder state after a full successful
+      // decode, so a thrown line leaves the relative-field state at the last
+      // good record and the next well-formed line resynchronizes.
+      ++report_.lines_skipped;
+      if (static_cast<std::int64_t>(report_.defects.size()) < ParseReport::kMaxRecordedDefects) {
+        report_.defects.push_back({line_number_, e.what()});
+      }
+      if (recovery_->error_budget >= 0 && report_.lines_skipped > recovery_->error_budget) {
+        throw FaultError("parse error budget of " + std::to_string(recovery_->error_budget) +
+                         " exhausted at line " + std::to_string(line_number_) + " (" +
+                         e.what() + ")");
+      }
     }
   }
   return std::nullopt;
@@ -200,9 +172,7 @@ void save_trace(const Trace& trace, const std::string& path, std::string_view he
   if (!out) throw Error("write failed: " + path);
 }
 
-Trace load_trace(const std::string& path) { return load_trace_mapped(path); }
-
-Trace load_trace_mapped(const std::string& path) {
+Trace load_trace(const std::string& path) {
   if (auto mapped = MappedFile::open(path)) {
     mapped->advise_sequential();
     return parse_trace(mapped->view());
@@ -213,9 +183,20 @@ Trace load_trace_mapped(const std::string& path) {
 
 namespace {
 
-// RecordSource wrappers that own their backing storage (mapping, stream, or
-// buffer). Member order matters: the reader is declared after the storage it
-// borrows from so construction and destruction sequence correctly.
+// RecordSource wrappers that own what their reader reads. Member order
+// matters: the reader is declared after the storage it borrows from so
+// construction and destruction sequence correctly.
+
+/// `contents` in the form `Reader` reads: text, or bytes for the binary
+/// reader.
+template <typename Reader>
+auto input_of(std::string_view contents) {
+  if constexpr (std::is_same_v<Reader, TraceTextReader>) {
+    return contents;
+  } else {
+    return std::as_bytes(std::span(contents));
+  }
+}
 
 /// A TraceTextReader or BinaryTraceReader over a mapping. Every
 /// kReleaseBytes it reads, it drops the pages behind it from the resident
@@ -226,7 +207,7 @@ class MappedSource final : public RecordSource {
   static constexpr std::size_t kReleaseBytes = std::size_t{4} << 20;
 
   explicit MappedSource(MappedFile mapped)
-      : mapped_(std::move(mapped)), reader_(contents(mapped_)) {}
+      : mapped_(std::move(mapped)), reader_(input_of<Reader>(mapped_.view())) {}
   [[nodiscard]] std::optional<TraceRecord> next() override {
     std::optional<TraceRecord> record = reader_.next();
     if (reader_.consumed() >= release_at_) {
@@ -237,124 +218,43 @@ class MappedSource final : public RecordSource {
   }
 
  private:
-  static auto contents(const MappedFile& mapped) {
-    if constexpr (std::is_same_v<Reader, TraceTextReader>) {
-      return mapped.view();
-    } else {
-      return mapped.bytes();
-    }
-  }
-
   MappedFile mapped_;
   Reader reader_;
   std::size_t release_at_ = kReleaseBytes;
 };
 
-class FileTextSource final : public RecordSource {
+/// A TraceTextReader or BinaryTraceReader over a whole input held in memory.
+template <typename Reader>
+class BufferedSource final : public RecordSource {
  public:
-  explicit FileTextSource(std::unique_ptr<std::ifstream> in)
-      : in_(std::move(in)), reader_(*in_) {}
+  explicit BufferedSource(std::string contents)
+      : contents_(std::move(contents)), reader_(input_of<Reader>(contents_)) {}
   [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
 
  private:
-  std::unique_ptr<std::ifstream> in_;
-  TraceReader reader_;
-};
-
-class FileBinarySource final : public RecordSource {
- public:
-  explicit FileBinarySource(std::unique_ptr<std::ifstream> in)
-      : in_(std::move(in)), reader_(*in_) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::unique_ptr<std::ifstream> in_;
-  BinaryTraceReader reader_;
-};
-
-class BufferedTextSource final : public RecordSource {
- public:
-  explicit BufferedTextSource(std::string text)
-      : text_(std::move(text)), reader_(text_) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::string text_;
-  TraceTextReader reader_;
-};
-
-class BufferedBinarySource final : public RecordSource {
- public:
-  explicit BufferedBinarySource(std::string bytes)
-      : bytes_(std::move(bytes)),
-        reader_(std::span(reinterpret_cast<const std::byte*>(bytes_.data()), bytes_.size())) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::string bytes_;
-  BinaryTraceReader reader_;
+  std::string contents_;
+  Reader reader_;
 };
 
 }  // namespace
 
-std::unique_ptr<RecordSource> open_record_stream(const std::string& path,
-                                                 const StreamOptions& options) {
-  TraceFormat format = options.format;
-
-  if (options.prefer_mmap) {
-    if (auto mapped = MappedFile::open(path)) {
-      mapped->advise_sequential();
-      if (format == TraceFormat::kAuto) {
-        format = starts_with_binary_magic(mapped->bytes()) ? TraceFormat::kBinary
-                                                           : TraceFormat::kText;
-      }
-      if (format == TraceFormat::kBinary) {
-        return std::make_unique<MappedSource<BinaryTraceReader>>(std::move(*mapped));
-      }
-      return std::make_unique<MappedSource<TraceTextReader>>(std::move(*mapped));
+std::unique_ptr<RecordSource> open_record_stream(const std::string& path) {
+  if (auto mapped = MappedFile::open(path)) {
+    mapped->advise_sequential();
+    if (starts_with_binary_magic(mapped->bytes())) {
+      return std::make_unique<MappedSource<BinaryTraceReader>>(std::move(*mapped));
     }
+    return std::make_unique<MappedSource<TraceTextReader>>(std::move(*mapped));
   }
 
-  auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*in) throw Error("cannot open for reading: " + path);
-  in->seekg(0, std::ios::end);
-  const auto size = in->tellg();
-  if (size > 0) {
-    // Seekable: sniff one byte (the binary magic's lead byte is non-ASCII,
-    // so no text trace can collide), rewind, and stream through a bounded
-    // buffer — peak memory stays independent of trace size.
-    in->seekg(0);
-    if (format == TraceFormat::kAuto) {
-      char head = 0;
-      in->read(&head, 1);
-      const bool binary =
-          in->gcount() == 1 && static_cast<std::byte>(head) == kBinaryTraceMagic[0];
-      format = binary ? TraceFormat::kBinary : TraceFormat::kText;
-      in->clear();
-      in->seekg(0);
-    }
-    if (format == TraceFormat::kBinary) {
-      return std::make_unique<FileBinarySource>(std::move(in));
-    }
-    return std::make_unique<FileTextSource>(std::move(in));
+  // Not a mappable regular file (FIFO, /dev/stdin, size-0 special file): a
+  // sniff cannot push bytes back into a pipe, so read the input whole once
+  // and stream from memory.
+  std::string contents = read_file(path);
+  if (starts_with_binary_magic(std::string_view(contents))) {
+    return std::make_unique<BufferedSource<BinaryTraceReader>>(std::move(contents));
   }
-
-  // Non-seekable (FIFO, /dev/stdin) or size-0 special file: a sniff cannot
-  // push bytes back, so buffer the whole input once and stream from memory.
-  in->clear();
-  in->seekg(0);
-  in->clear();
-  std::string text;
-  append_chunked(*in, text);
-  if (in->bad()) throw Error("read failed: " + path);
-  if (format == TraceFormat::kAuto) {
-    format = starts_with_binary_magic(std::string_view(text)) ? TraceFormat::kBinary
-                                                              : TraceFormat::kText;
-  }
-  if (format == TraceFormat::kBinary) {
-    return std::make_unique<BufferedBinarySource>(std::move(text));
-  }
-  return std::make_unique<BufferedTextSource>(std::move(text));
+  return std::make_unique<BufferedSource<TraceTextReader>>(std::move(contents));
 }
 
 }  // namespace craysim::trace

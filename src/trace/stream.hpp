@@ -23,7 +23,7 @@ namespace craysim::trace {
 using Trace = std::vector<TraceRecord>;
 
 /// A pull-based stream of trace records: the common next() interface of
-/// TraceReader, TraceTextReader, BinaryTraceReader (binary_stream.hpp), and
+/// TraceTextReader, BinaryTraceReader (binary_stream.hpp), and
 /// MemoryRecordSource.
 /// Consumers that only need one record at a time (sim::StreamingReplaySource,
 /// trace statistics over traces larger than RAM) take this instead of a
@@ -77,7 +77,7 @@ struct ParseDefect {
   std::string message;    ///< the TraceFormatError text
 };
 
-/// Accumulated by a TraceReader running in recoverable mode.
+/// Accumulated by a TraceTextReader running in recoverable mode.
 struct ParseReport {
   static constexpr std::int64_t kMaxRecordedDefects = 64;
 
@@ -104,7 +104,9 @@ struct RecoveryOptions {
   std::int64_t error_budget = 100;
 };
 
-/// Reads records from a text stream, skipping comments.
+/// Reads records straight out of in-memory trace text, skipping comments:
+/// lines are walked as string_views into the caller's buffer, with no
+/// per-line copy. The text must outlive the reader.
 ///
 /// The default (strict) mode throws TraceFormatError, with the line number
 /// in the message, on the first malformed line. Recoverable mode — enabled
@@ -113,34 +115,6 @@ struct RecoveryOptions {
 /// FaultError). A skipped line can strand later compression references; such
 /// lines are themselves skipped and counted, so recovery resynchronizes on
 /// the first line that decodes against the surviving state.
-class TraceReader final : public RecordSource {
- public:
-  explicit TraceReader(std::istream& in) : in_(&in) {}
-  TraceReader(std::istream& in, const RecoveryOptions& recovery)
-      : in_(&in), recovery_(recovery) {}
-
-  /// Next record, or nullopt at end of stream.
-  [[nodiscard]] std::optional<TraceRecord> next() override;
-
-  [[nodiscard]] std::int64_t line_number() const { return line_number_; }
-  [[nodiscard]] const AsciiTraceDecoder& decoder() const { return decoder_; }
-  [[nodiscard]] bool recovering() const { return recovery_.has_value(); }
-  /// Defect log so far (meaningful in recoverable mode only).
-  [[nodiscard]] const ParseReport& report() const { return report_; }
-
- private:
-  std::istream* in_;
-  std::string line_;  ///< reused by every next(): no allocation per line
-  AsciiTraceDecoder decoder_;
-  std::int64_t line_number_ = 0;
-  std::optional<RecoveryOptions> recovery_;
-  ParseReport report_;
-};
-
-/// Reads records straight out of in-memory trace text: lines are walked as
-/// string_views into the caller's buffer, with no istream and no per-line
-/// copy. Strict/recoverable semantics are identical to TraceReader. The text
-/// must outlive the reader.
 class TraceTextReader final : public RecordSource {
  public:
   explicit TraceTextReader(std::string_view text) : text_(text) {}
@@ -194,45 +168,28 @@ struct RecoveredTrace {
 /// load_trace (and load_trace_lossy above) route through a read-only mmap of
 /// the file when possible — cold start on a multi-GB trace costs one
 /// mmap(2) and the parse walks string_views over shared page-cache pages —
-/// falling back to the chunked read below for FIFOs, /dev/stdin, and
-/// size-0 /proc inputs. load_trace_mapped is the same routing under its
-/// explicit name.
+/// falling back to read_file below for FIFOs, /dev/stdin, and size-0 /proc
+/// inputs.
 void save_trace(const Trace& trace, const std::string& path,
                 std::string_view header_comment = {});
 [[nodiscard]] Trace load_trace(const std::string& path);
-[[nodiscard]] Trace load_trace_mapped(const std::string& path);
 
 /// Reads a whole file into memory, coping with non-seekable inputs (FIFOs,
 /// /dev/stdin) and special files that report size 0 (/proc) by reading in
-/// chunks. The mmap-averse fallback under load_trace*; exposed for callers
-/// that need the raw text. Throws craysim::Error on I/O failure.
+/// chunks. It opens the file once, so a FIFO's writer is met only once.
+/// The fallback for inputs that cannot be mapped; exposed for callers that
+/// need the raw text. Throws craysim::Error on I/O failure.
 [[nodiscard]] std::string read_file(const std::string& path);
 
-/// How open_record_stream should interpret the file.
-enum class TraceFormat {
-  kAuto,    ///< sniff: framed binary magic (binary_stream.hpp) vs text
-  kText,    ///< the ASCII wire format
-  kBinary,  ///< the framed streaming binary format
-};
-
-/// Streaming knobs for open_record_stream.
-struct StreamOptions {
-  TraceFormat format = TraceFormat::kAuto;
-
-  /// Map regular files read-only and walk the mapping zero-copy (fastest).
-  /// The stream drops the pages it has read a few MB at a time, so its
-  /// resident set stays within a few MB of the read position whatever the
-  /// trace size. Set false to force bounded-buffer streamed reads, which
-  /// need no mapping at all.
-  bool prefer_mmap = true;
-};
-
-/// Opens `path` as a record-at-a-time stream: a TraceTextReader or
-/// BinaryTraceReader (per `options.format`, sniffed by default) that owns
-/// whatever it needs (mapping or file handle). Non-seekable inputs that
-/// cannot be mapped (FIFOs) are buffered in full. Throws craysim::Error on
-/// I/O failure, TraceFormatError on a binary/text mismatch.
-[[nodiscard]] std::unique_ptr<RecordSource> open_record_stream(const std::string& path,
-                                                               const StreamOptions& options = {});
+/// Opens `path` as a record-at-a-time stream that owns what it reads. A
+/// regular file is mapped and read as a framed binary trace
+/// (binary_stream.hpp) if it starts with the binary magic, as text
+/// otherwise; the stream drops the pages it has read a few MB at a time, so
+/// its resident set stays within a few MB of the read position whatever the
+/// trace size. Whatever MappedFile::open refuses (a FIFO, /dev/stdin, an
+/// empty or size-0 special file) is read whole with read_file and sniffed
+/// the same way. Throws craysim::Error on I/O failure, TraceFormatError on a
+/// bad binary frame header.
+[[nodiscard]] std::unique_ptr<RecordSource> open_record_stream(const std::string& path);
 
 }  // namespace craysim::trace

@@ -1,8 +1,8 @@
 // Streaming replay: a simulation fed records from a file (StreamingReplaySource
 // over open_record_stream) must be bit-identical — the full serialized
 // SimResult — to one fed the materialized Trace from memory
-// (MemoryRecordSource), for text and binary inputs, mmap and bounded-stream
-// paths, and across runner sweep points sharing one mapping.
+// (MemoryRecordSource), for text and binary inputs, and across runner sweep
+// points sharing one mapping.
 #include "sim/process.hpp"
 
 #include <gtest/gtest.h>
@@ -74,14 +74,9 @@ TEST(StreamingReplay, BinaryStreamReplayIsBitIdenticalToWholeTrace) {
   const std::string path = temp_path("craysim_streaming_replay.bin");
   trace::save_trace_binary(venus(), path);
   const std::string whole = run_replay(from_memory(venus()));
-
-  for (const bool prefer_mmap : {true, false}) {
-    trace::StreamOptions options;
-    options.prefer_mmap = prefer_mmap;
-    const std::string streamed = run_replay(
-        std::make_unique<StreamingReplaySource>(trace::open_record_stream(path, options)));
-    EXPECT_EQ(streamed, whole) << "prefer_mmap=" << prefer_mmap;
-  }
+  const std::string streamed =
+      run_replay(std::make_unique<StreamingReplaySource>(trace::open_record_stream(path)));
+  EXPECT_EQ(streamed, whole);
   std::remove(path.c_str());
 }
 
@@ -89,13 +84,9 @@ TEST(StreamingReplay, TextStreamReplayIsBitIdenticalToWholeTrace) {
   const std::string path = temp_path("craysim_streaming_replay.trace");
   trace::save_trace(venus(), path, "streaming replay");
   const std::string whole = run_replay(from_memory(venus()));
-  for (const bool prefer_mmap : {true, false}) {
-    trace::StreamOptions options;
-    options.prefer_mmap = prefer_mmap;
-    const std::string streamed = run_replay(
-        std::make_unique<StreamingReplaySource>(trace::open_record_stream(path, options)));
-    EXPECT_EQ(streamed, whole) << "prefer_mmap=" << prefer_mmap;
-  }
+  const std::string streamed =
+      run_replay(std::make_unique<StreamingReplaySource>(trace::open_record_stream(path)));
+  EXPECT_EQ(streamed, whole);
   std::remove(path.c_str());
 }
 

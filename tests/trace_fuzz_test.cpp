@@ -1,5 +1,5 @@
-// Malformed-input property test for AsciiTraceDecoder / TraceReader: random
-// byte mutations of valid trace lines must either parse or throw
+// Malformed-input property test for AsciiTraceDecoder / TraceTextReader:
+// random byte mutations of valid trace lines must either parse or throw
 // TraceFormatError carrying the right line number — never crash, hang, or
 // silently misparse into an invalid record. Deterministically seeded, so a
 // failure reproduces.
@@ -58,8 +58,7 @@ TEST(TraceFuzz, MutatedLinesParseOrThrowCleanly) {
   constexpr int kRounds = 400;
   for (int round = 0; round < kRounds; ++round) {
     const std::string text = mutate(wire, rng, 1 + static_cast<int>(rng.uniform_int(0, 7)));
-    std::istringstream in(text);
-    TraceReader reader(in);
+    TraceTextReader reader(text);
     try {
       while (auto record = reader.next()) expect_sane(*record);
     } catch (const TraceFormatError& e) {
@@ -113,10 +112,9 @@ TEST(TraceFuzz, RecoverableReaderSurvivesHeavyMutation) {
   Rng rng(0xF0222);
   for (int round = 0; round < 20; ++round) {
     const std::string text = mutate(wire, rng, 200);
-    std::istringstream in(text);
     RecoveryOptions unlimited;
     unlimited.error_budget = -1;
-    TraceReader reader(in, unlimited);
+    TraceTextReader reader(text, unlimited);
     std::int64_t records = 0;
     while (auto record = reader.next()) {
       expect_sane(*record);

@@ -1,7 +1,7 @@
 // mmap-backed trace ingestion: MappedFile semantics, byte-identity of the
 // mapped view with read_file, the FIFO/size-0 fallback regression, and
-// open_record_stream routing (mmap vs bounded-stream, sniffed vs forced
-// format).
+// open_record_stream routing (mapped or read whole, text or binary sniffed
+// from the magic).
 #include "trace/mapped_file.hpp"
 
 #include <gtest/gtest.h>
@@ -74,7 +74,7 @@ TEST(MappedFile, RefusesMissingAndEmptyFiles) {
 TEST(LoadTraceMapped, MatchesParseOfReadFile) {
   const std::string path = temp_path("craysim_mmap_load.trace");
   save_trace(venus(), path, "mapped load");
-  EXPECT_EQ(load_trace_mapped(path), parse_trace(read_file(path)));
+  EXPECT_EQ(load_trace(path), parse_trace(read_file(path)));
   EXPECT_EQ(load_trace(path), venus());
   std::remove(path.c_str());
 }
@@ -118,6 +118,24 @@ TEST(OpenRecordStream, FifoIsBufferedAndSniffed) {
   writer.join();
   std::remove(path.c_str());
 }
+
+TEST(OpenRecordStream, BinaryFifoIsBufferedAndSniffed) {
+  // A FIFO is the only input a framed binary trace is read from without a
+  // mapping: read whole, then sniffed by its magic.
+  Trace t(venus().begin(), venus().begin() + 32);
+  const std::string path = temp_path("craysim_stream_open_bin.fifo");
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    BinaryTraceWriter binary(out);
+    for (const TraceRecord& record : t) binary.write(record);
+  });
+  auto source = open_record_stream(path);
+  EXPECT_EQ(drain(*source), t);
+  writer.join();
+  std::remove(path.c_str());
+}
 #endif
 
 TEST(OpenRecordStream, SniffsTextAndBinary) {
@@ -125,27 +143,12 @@ TEST(OpenRecordStream, SniffsTextAndBinary) {
   const std::string bin_path = temp_path("craysim_open_bin.trace");
   save_trace(venus(), text_path);
   save_trace_binary(venus(), bin_path);
-  for (const bool prefer_mmap : {true, false}) {
-    StreamOptions options;
-    options.prefer_mmap = prefer_mmap;
-    auto text_source = open_record_stream(text_path, options);
-    EXPECT_EQ(drain(*text_source), venus()) << "text, prefer_mmap=" << prefer_mmap;
-    auto bin_source = open_record_stream(bin_path, options);
-    EXPECT_EQ(drain(*bin_source), venus()) << "binary, prefer_mmap=" << prefer_mmap;
-  }
+  auto text_source = open_record_stream(text_path);
+  EXPECT_EQ(drain(*text_source), venus());
+  auto bin_source = open_record_stream(bin_path);
+  EXPECT_EQ(drain(*bin_source), venus());
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
-}
-
-TEST(OpenRecordStream, ForcedBinaryOnTextThrows) {
-  const std::string path = temp_path("craysim_open_forced.trace");
-  save_trace(venus(), path);
-  StreamOptions options;
-  options.format = TraceFormat::kBinary;
-  EXPECT_THROW((void)open_record_stream(path, options), TraceFormatError);
-  options.prefer_mmap = false;
-  EXPECT_THROW((void)open_record_stream(path, options), TraceFormatError);
-  std::remove(path.c_str());
 }
 
 TEST(OpenRecordStream, MissingFileThrows) {

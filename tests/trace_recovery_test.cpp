@@ -130,10 +130,9 @@ TEST(RecoverableParse, BudgetCountsDefectsNotRecords) {
 TEST(RecoverableParse, ReaderExposesLiveReport) {
   const auto original = sample_trace();
   const std::string text = with_bad_line(original, 1, "zzz");
-  std::istringstream in(text);
   RecoveryOptions unlimited;
   unlimited.error_budget = -1;
-  TraceReader reader(in, unlimited);
+  TraceTextReader reader(text, unlimited);
   EXPECT_TRUE(reader.recovering());
   std::size_t parsed = 0;
   while (reader.next()) ++parsed;

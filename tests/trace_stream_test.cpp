@@ -52,7 +52,8 @@ TEST(TraceWriterReader, StreamInterface) {
   writer.write(simple(2, Ticks(20)));
   EXPECT_EQ(writer.records_written(), 2);
 
-  TraceReader reader(buffer);
+  const std::string text = buffer.str();
+  TraceTextReader reader(text);
   const auto r1 = reader.next();
   const auto r2 = reader.next();
   ASSERT_TRUE(r1 && r2);
@@ -65,8 +66,7 @@ TEST(TraceWriterReader, StreamInterface) {
 TEST(TraceReader, ReportsLineNumberOnError) {
   const std::string text = "255 fine\nnot a record\n";
   const std::string expected = "trace format: line 2: unparseable record type: 'not'";
-  std::stringstream buffer(text);
-  TraceReader reader(buffer);
+  TraceTextReader reader(text);
   try {
     (void)reader.next();
     FAIL() << "expected TraceFormatError";
